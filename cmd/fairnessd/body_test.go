@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -138,38 +136,4 @@ func postGet(t *testing.T, base string, id uint64) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
-}
-
-// TestSelfcheckPreservesFabricSection pins the BENCH_service.json
-// round-trip: a selfcheck rewrite keeps the fabric key fairbench wrote.
-func TestSelfcheckPreservesFabricSection(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_service.json")
-	seedDoc := `{"history":[],"fabric":{"workers":4,"cells_per_sec":123.4}}`
-	if err := os.WriteFile(path, []byte(seedDoc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var traj selfcheckTrajectory
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &traj); err != nil {
-		t.Fatal(err)
-	}
-	traj.History = append(traj.History, selfcheckReport{Generated: "t"})
-	out, err := json.Marshal(traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var round map[string]json.RawMessage
-	if err := json.Unmarshal(out, &round); err != nil {
-		t.Fatal(err)
-	}
-	fab, ok := round["fabric"]
-	if !ok {
-		t.Fatal("fabric section dropped by selfcheck trajectory round-trip")
-	}
-	if !bytes.Equal(fab, []byte(`{"workers":4,"cells_per_sec":123.4}`)) {
-		t.Errorf("fabric section rewritten: %s", fab)
-	}
 }

@@ -20,12 +20,6 @@
 // cache (the X-Fairnessd-Cache header distinguishes the two), or
 // produced by the equivalent CLI invocation at any parallelism.
 //
-// -selfcheck runs the built-in load harness instead of serving:
-// it boots the daemon on a loopback port, fires concurrent estimation
-// requests (cache-hit repeats included), verifies byte-identity of
-// repeated responses, and appends the measured request rate and cache
-// hit rate to BENCH_service.json.
-//
 // Chaos flags (-drop, -delay, -kill-party, …) apply to /v1/session
 // sessions, exercising the transport's fault-injection resilience.
 package main
@@ -64,9 +58,6 @@ func run(args []string) error {
 	})
 	chaos := cliflags.RegisterChaos(fs)
 	maxBody := fs.Int64("max-body-bytes", defaultMaxBody, "request body size limit in bytes")
-	selfcheck := fs.Bool("selfcheck", false, "run the load harness instead of serving")
-	scRequests := fs.Int("selfcheck-requests", 200, "selfcheck request count")
-	scOut := fs.String("o", "BENCH_service.json", "selfcheck report file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -84,15 +75,9 @@ func run(args []string) error {
 		Parallelism: est.Parallel,
 	})
 	defer pool.Close()
-	srv := newServer(pool, chaos, est.Runs, *maxBody)
-
-	if *selfcheck {
-		return runSelfcheck(srv, pool, *scRequests, *scOut)
-	}
-
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           srv,
+		Handler:           newServer(pool, chaos, est.Runs, *maxBody),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	fmt.Printf("fairnessd: listening on %s (workers=%d cache=%d default-runs=%d)\n",

@@ -115,6 +115,8 @@ func TestConcurrentBurst(t *testing.T) {
 		{Proto: "2sfe-opt", Adv: "lock-abort:2", Runs: 80, Seed: 3},
 		{Proto: "2sfe-oneround", Adv: "agen", Runs: 80, Seed: 4},
 		{Proto: "gk-pitilde", Adv: "passive", Runs: 80, Seed: 5},
+		{Proto: "nsfe-opt:3", Adv: "lock-abort:1", Runs: 80, Seed: 6},
+		{Proto: "gk-polydomain:2", Adv: "leak-extractor", Runs: 80, Seed: 7},
 	}
 	const total = 200
 

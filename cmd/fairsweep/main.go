@@ -15,19 +15,6 @@
 // produced; re-running the same command against an existing checkpoint
 // resumes after the last complete record and produces byte-identical
 // output to an uninterrupted run.
-//
-// Distributed modes (the sweep fabric, internal/fabric):
-//
-//	fairsweep -coordinator ADDR -workers N [...spec flags...]
-//	    serve the sweep as a fabric coordinator: listen on ADDR, lease
-//	    cell ranges to joining workers, survive worker crashes, and
-//	    merge a certified report byte-identical to a local run.
-//	fairsweep -worker -join ADDR [-lease-ttl D]
-//	    join a coordinator as a worker (spec flags are ignored — the
-//	    spec arrives over the wire and is verified by grid fingerprint).
-//	fairsweep -fabric N [...spec flags...]
-//	    run coordinator plus N in-process workers on loopback — the
-//	    full lease protocol over real TCP in one process.
 package main
 
 import (
@@ -36,11 +23,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/cliflags"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/service"
 	"repro/internal/sweep"
 )
@@ -90,21 +75,10 @@ func parseGammas(s string) ([]core.Payoff, error) {
 	return out, nil
 }
 
-// fabricOptions selects fairsweep's distributed modes (all off by
-// default; see the package comment).
-type fabricOptions struct {
-	coordinator string        // -coordinator: listen address, "" = off
-	workers     int           // -workers: expected worker count
-	worker      bool          // -worker: run as a joining worker
-	join        string        // -join: coordinator address to join
-	local       int           // -fabric: in-process worker count, 0 = off
-	leaseTTL    time.Duration // -lease-ttl: failure-detection horizon
-}
-
 // parseSpec builds the sweep spec from the command line. Overrides apply
 // only when their flag was explicitly given (fs.Visit), so explicit
 // zeros — notably -seed 0 and -runs 0 (adaptive) — are honored.
-func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbose bool, fab fabricOptions, err error) {
+func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbose bool, err error) {
 	fs := flag.NewFlagSet("fairsweep", flag.ContinueOnError)
 	families := fs.String("families", "", "comma-separated protocol families (default: all)")
 	gammas := fs.String("gammas", "", "semicolon-separated payoff vectors γ00,γ01,γ10,γ11 (default: standard grid)")
@@ -129,16 +103,10 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	noCompiled := fs.Bool("no-compiled-plans", false, "pin the estimator to the interpreter (debugging; records are identical)")
 	noAbort := fs.Bool("no-abort-sweep", false, "disable the abort-at-round attacker dimension")
 	cp := fs.String("checkpoint", "", "JSONL checkpoint path (resumes if the file exists)")
-	coordinator := fs.String("coordinator", "", "serve the sweep as a fabric coordinator on this listen address")
-	workers := fs.Int("workers", 4, "expected worker count (coordinator mode; sizes the initial range split)")
-	workerMode := fs.Bool("worker", false, "run as a fabric worker (requires -join)")
-	join := fs.String("join", "", "coordinator address to join (worker mode)")
-	fabricN := fs.Int("fabric", 0, "run the sweep on this many in-process fabric workers")
-	leaseTTL := fs.Duration("lease-ttl", 3*time.Second, "fabric lease TTL (worker silence past this is death)")
 	q := fs.Bool("quiet", false, "suppress per-record progress")
 	v := fs.Bool("v", false, "print every record, not just breaches")
 	if err := fs.Parse(args); err != nil {
-		return sweep.Spec{}, "", false, false, fabricOptions{}, err
+		return sweep.Spec{}, "", false, false, err
 	}
 
 	spec = sweep.DefaultSpec()
@@ -150,22 +118,22 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	}
 	if given["gammas"] {
 		if spec.Gammas, err = parseGammas(*gammas); err != nil {
-			return sweep.Spec{}, "", false, false, fabricOptions{}, err
+			return sweep.Spec{}, "", false, false, err
 		}
 	}
 	if given["n"] {
 		if spec.Ns, err = parseInts(*ns); err != nil {
-			return sweep.Spec{}, "", false, false, fabricOptions{}, err
+			return sweep.Spec{}, "", false, false, err
 		}
 	}
 	if given["t"] {
 		if spec.Ts, err = parseInts(*ts); err != nil {
-			return sweep.Spec{}, "", false, false, fabricOptions{}, err
+			return sweep.Spec{}, "", false, false, err
 		}
 	}
 	if given["p"] {
 		if spec.Ps, err = parseInts(*ps); err != nil {
-			return sweep.Spec{}, "", false, false, fabricOptions{}, err
+			return sweep.Spec{}, "", false, false, err
 		}
 	}
 	if given["costs"] {
@@ -210,12 +178,7 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	if vr.ControlVariates {
 		spec.ControlVariates = true
 	}
-	fab = fabricOptions{
-		coordinator: *coordinator, workers: *workers,
-		worker: *workerMode, join: *join,
-		local: *fabricN, leaseTTL: *leaseTTL,
-	}
-	return spec, *cp, *q, *v, fab, nil
+	return spec, *cp, *q, *v, nil
 }
 
 func splitList(s string) []string {
@@ -229,21 +192,9 @@ func splitList(s string) []string {
 }
 
 func run(args []string) int {
-	spec, checkpoint, quiet, verbose, fab, err := parseSpec(args)
+	spec, checkpoint, quiet, verbose, err := parseSpec(args)
 	if err != nil {
 		return 2
-	}
-	if fab.worker {
-		return runWorker(fab)
-	}
-	if fab.coordinator != "" || fab.local > 0 {
-		if spec.PairedSeeds {
-			// Paired delta records reduce two cells' per-run event logs at
-			// once; range workers only hold their own cells' logs.
-			fmt.Fprintln(os.Stderr, "fairsweep: -paired-seeds sweeps cannot run on the fabric; run single-machine")
-			return 2
-		}
-		return runFabric(spec, checkpoint, quiet, fab)
 	}
 
 	mode := fmt.Sprintf("runs=%d", spec.Runs)
@@ -281,8 +232,7 @@ func run(args []string) int {
 }
 
 // printSummary renders the certified summary's verdict and returns the
-// process exit code — shared by the local and fabric paths so both
-// report identically.
+// process exit code.
 func printSummary(sum *sweep.Summary) int {
 	for _, msg := range sum.Skipped {
 		fmt.Printf("skipped: %s\n", msg)
@@ -301,72 +251,6 @@ func printSummary(sum *sweep.Summary) int {
 	}
 	fmt.Println("RESULT: all cells certified against the paper's bounds")
 	return 0
-}
-
-// runWorker joins a coordinator and computes leases until the sweep
-// completes (or the coordinator declares this worker dead).
-func runWorker(fab fabricOptions) int {
-	if fab.join == "" {
-		fmt.Fprintln(os.Stderr, "fairsweep: -worker requires -join ADDR")
-		return 2
-	}
-	fmt.Printf("fairsweep: worker joining %s (lease-ttl %s)\n", fab.join, fab.leaseTTL)
-	w := fabric.NewWorker(fab.join, fabric.JoinStream(fab.leaseTTL))
-	if err := w.Run(); err != nil {
-		fmt.Fprintln(os.Stderr, "fairsweep: worker:", err)
-		return 1
-	}
-	fmt.Println("fairsweep: worker done")
-	return 0
-}
-
-// runFabric shards the sweep across fabric workers — remote
-// (-coordinator) or in-process (-fabric N) — and prints the same
-// certified verdict as a local run.
-func runFabric(spec sweep.Spec, checkpoint string, quiet bool, fab fabricOptions) int {
-	cfg := fabric.Config{
-		Spec: spec, Addr: fab.coordinator, Workers: fab.workers,
-		LeaseTTL: fab.leaseTTL, Checkpoint: checkpoint,
-	}
-	if !quiet {
-		cfg.OnRecord = func(accepted, total int) {
-			if tenth := total / 10; tenth == 0 || accepted%tenth == 0 || accepted == total {
-				fmt.Printf("fabric: %d/%d cells certified\n", accepted, total)
-			}
-		}
-	}
-
-	var (
-		sum   *sweep.Summary
-		stats fabric.Stats
-	)
-	if fab.coordinator != "" {
-		co, err := fabric.NewCoordinator(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fairsweep: coordinator:", err)
-			return 1
-		}
-		fmt.Printf("fairsweep: coordinator on %s awaiting workers (expected %d, lease-ttl %s)\n",
-			co.Addr(), cfg.Workers, fab.leaseTTL)
-		var err2 error
-		sum, stats, err2 = co.Run()
-		if err2 != nil {
-			fmt.Fprintln(os.Stderr, "fairsweep: coordinator:", err2)
-			return 1
-		}
-	} else {
-		fmt.Printf("fairsweep: in-process fabric, %d workers (lease-ttl %s)\n", fab.local, fab.leaseTTL)
-		var err error
-		sum, stats, err = fabric.RunLocal(cfg, fab.local)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fairsweep: fabric:", err)
-			return 1
-		}
-	}
-	fmt.Printf("fabric: workers=%d deaths=%d steals=%d requeues=%d duplicates=%d  %.1f cells/s\n",
-		stats.Joined, stats.Deaths, stats.Steals, stats.Requeues,
-		stats.DuplicateRecords, stats.CellsPerSec)
-	return printSummary(sum)
 }
 
 // printRecord renders one record's certifications on a single line.

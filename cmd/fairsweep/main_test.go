@@ -54,7 +54,7 @@ func TestRunCheckpointResume(t *testing.T) {
 func TestParseSpecExplicitZeroes(t *testing.T) {
 	// -seed 0 and -runs 0 (adaptive) must be honored, not replaced by
 	// the defaults (fs.Visit idiom, as in cmd/fairness).
-	spec, _, _, _, _, err := parseSpec([]string{"-seed", "0", "-runs", "0"})
+	spec, _, _, _, err := parseSpec([]string{"-seed", "0", "-runs", "0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestParseSpecExplicitZeroes(t *testing.T) {
 	if spec.Runs != 0 {
 		t.Errorf("explicit -runs 0 gave Runs = %d", spec.Runs)
 	}
-	def, _, _, _, _, err := parseSpec(nil)
+	def, _, _, _, err := parseSpec(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,41 +86,5 @@ func TestParseGammas(t *testing.T) {
 	}
 	if _, err := parseGammas("a,b,c,d"); err == nil {
 		t.Error("non-numeric vector accepted")
-	}
-}
-
-// TestRunFabricByteIdentical pins the CLI fabric mode: `-fabric N`
-// shards the grid over in-process workers and writes a checkpoint
-// byte-identical to the plain single-machine invocation.
-func TestRunFabricByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	local := filepath.Join(dir, "local.jsonl")
-	fab := filepath.Join(dir, "fabric.jsonl")
-	base := []string{"-families", "2sfe,oneround", "-n", "2", "-runs", "60", "-quiet"}
-
-	if code := run(append([]string{"-checkpoint", local}, base...)); code != 0 {
-		t.Fatalf("local run: exit code %d", code)
-	}
-	if code := run(append([]string{"-checkpoint", fab, "-fabric", "2", "-lease-ttl", "1500ms"}, base...)); code != 0 {
-		t.Fatalf("fabric run: exit code %d", code)
-	}
-	want, err := os.ReadFile(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(fab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(want) != string(got) {
-		t.Error("fabric checkpoint differs from single-machine checkpoint")
-	}
-}
-
-// TestRunWorkerRequiresJoin pins the usage error for a worker with no
-// coordinator address.
-func TestRunWorkerRequiresJoin(t *testing.T) {
-	if code := run([]string{"-worker"}); code != 2 {
-		t.Errorf("exit code %d, want 2", code)
 	}
 }

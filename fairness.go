@@ -278,7 +278,7 @@ var (
 )
 
 // Best-response search (racing + branch-and-bound over strategy
-// spaces; see internal/search and DESIGN.md §11).
+// spaces; see internal/search and DESIGN.md §10).
 type (
 	// SearchOptions tunes the racing schedule (wave sizes, elimination
 	// confidence δ, beam width, checkpoint path).

@@ -81,42 +81,23 @@ type AbortAt struct {
 	StopRound int
 	// AbortSetup additionally aborts the hybrid setup phase.
 	AbortSetup bool
-	// abortedAt records the wire round the strategy first went silent in
-	// during the current run (0 = has not aborted), for RoundAborter.
-	abortedAt int
 }
 
-var (
-	_ sim.Adversary    = (*AbortAt)(nil)
-	_ sim.RoundAborter = (*AbortAt)(nil)
-)
+var _ sim.Adversary = (*AbortAt)(nil)
 
 // NewAbortAt builds the strategy.
 func NewAbortAt(stopRound int, targets ...sim.PartyID) *AbortAt {
 	return &AbortAt{Static: Static{Targets: targets}, StopRound: stopRound}
 }
 
-// Reset implements sim.Adversary.
-func (a *AbortAt) Reset(ctx *sim.AdvContext) {
-	a.Static.Reset(ctx)
-	a.abortedAt = 0
-}
-
 // ObserveSetup implements sim.Adversary.
 func (a *AbortAt) ObserveSetup(map[sim.PartyID]sim.Value) bool { return a.AbortSetup }
-
-// AbortedRound implements sim.RoundAborter: the wire round the last run
-// went silent in, if the run reached StopRound at all.
-func (a *AbortAt) AbortedRound() (int, bool) { return a.abortedAt, a.abortedAt > 0 }
 
 // Act implements sim.Adversary.
 func (a *AbortAt) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
 	aborted := a.StopRound > 0 && round >= a.StopRound
 	var out []sim.Message
 	if aborted {
-		if a.abortedAt == 0 {
-			a.abortedAt = round
-		}
 		// Keep feeding the machines their inboxes (the adversary still
 		// reads its mail) but drop all outgoing messages.
 		a.stepHonest(round, inboxes)

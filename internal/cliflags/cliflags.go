@@ -1,5 +1,5 @@
 // Package cliflags centralizes the flag surface shared by the fairness
-// commands (fairness, fairsim, fairsweep, fairbench) and the fairnessd
+// commands (fairness, fairsim, fairsweep, fairsearch) and the fairnessd
 // daemon: Monte-Carlo effort (-runs, -sup), seeding (-seed), estimator
 // parallelism (-parallel), transcript capture (-trace), and the chaos
 // block (-chaos-seed, -drop, -delay, -max-delay, -kill-party,
@@ -130,7 +130,7 @@ func RegisterSearch(fs *flag.FlagSet) *Search {
 }
 
 // Variance is the parsed shared variance-reduction flag block used by
-// fairsweep and fairsearch: the statistical levers of DESIGN.md §12.
+// fairsweep and fairsearch: the statistical levers of DESIGN.md §11.
 // Both are off by default; with both off every record and report is
 // byte-identical to the frozen matrices.
 type Variance struct {

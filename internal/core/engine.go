@@ -36,7 +36,6 @@ type options struct {
 	pairedMaster int64
 	pairedOffset int
 	eventLog     []Event
-	strata       *AbortRoundTally
 }
 
 // WithParallelism sets the worker count: 1 forces a single worker,
@@ -375,9 +374,6 @@ func EstimateUtility(proto sim.Protocol, adv sim.Adversary, gamma Payoff,
 						if err = tallies[w].add(oc); err == nil {
 							if o.eventLog != nil {
 								o.eventLog[i] = oc.Event
-							}
-							if o.strata != nil {
-								o.strata.add(roundAborted(worker), oc.Event)
 							}
 						}
 					}

@@ -1,20 +1,13 @@
 package core
 
 // This file holds the estimator's variance-reduction surface: control
-// variates with an exactly known mean (residual estimation), common-
-// random-numbers run seeding, and per-abort-round outcome tallies for
-// post-stratification. Unlike every other Option, the statistical
+// variates with an exactly known mean (residual estimation) and common-
+// random-numbers run seeding. Unlike every other Option, the statistical
 // options here deliberately change what the estimator computes — they
 // are all off by default, and with all of them off EstimateUtility's
-// output is byte-identical to the frozen contract. See DESIGN.md §12.
+// output is byte-identical to the frozen contract. See DESIGN.md §11.
 
-import (
-	"hash/fnv"
-	"sort"
-	"sync"
-
-	"repro/internal/sim"
-)
+import "hash/fnv"
 
 // ControlVariate is a per-run control C with exactly known expectation,
 // expressed over the canonical events: a run classified into event E
@@ -98,85 +91,6 @@ func WithEventLog(log []Event) Option {
 	return func(o *options) { o.eventLog = log }
 }
 
-// WithAbortRoundStrata accumulates per-(abort round, event) counts into
-// t, keyed by the wire round the strategy reported through
-// sim.RoundAborter (stratum 0 collects runs with no abort, and all runs
-// of strategies that do not implement the capability). The tally never
-// affects the estimate; reduce it with stats.StratifiedEstimate using
-// the abort-round law's known weights.
-func WithAbortRoundStrata(t *AbortRoundTally) Option {
-	return func(o *options) { o.strata = t }
-}
-
-// AbortRoundTally accumulates outcome counts stratified by abort round.
-// It is safe for concurrent use by the estimation workers; the merged
-// counts are plain sums, so the tally's content is independent of
-// worker scheduling.
-type AbortRoundTally struct {
-	mu     sync.Mutex
-	counts map[int]*[4]int64
-}
-
-// NewAbortRoundTally returns an empty tally.
-func NewAbortRoundTally() *AbortRoundTally {
-	return &AbortRoundTally{counts: make(map[int]*[4]int64)}
-}
-
-func (t *AbortRoundTally) add(round int, e Event) {
-	idx := int(e) - 1
-	if idx < 0 || idx >= 4 {
-		return
-	}
-	t.mu.Lock()
-	if t.counts == nil {
-		t.counts = make(map[int]*[4]int64)
-	}
-	c := t.counts[round]
-	if c == nil {
-		c = new([4]int64)
-		t.counts[round] = c
-	}
-	c[idx]++
-	t.mu.Unlock()
-}
-
-// Rounds returns the abort rounds observed, sorted ascending (round 0,
-// when present, is the no-abort stratum).
-func (t *AbortRoundTally) Rounds() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rounds := make([]int, 0, len(t.counts))
-	for r := range t.counts {
-		rounds = append(rounds, r)
-	}
-	sort.Ints(rounds)
-	return rounds
-}
-
-// Counts returns the event counts (canonical E00..E11 order) tallied
-// for one abort round.
-func (t *AbortRoundTally) Counts(round int) [4]int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c := t.counts[round]; c != nil {
-		return *c
-	}
-	return [4]int64{}
-}
-
-// Total returns the tally's total run count across all strata.
-func (t *AbortRoundTally) Total() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n int64
-	for _, c := range t.counts {
-		for _, v := range c {
-			n += v
-		}
-	}
-	return n
-}
-
 // PairedRunSeed derives the seed of global run index idx from a CRN
 // master: FNV-1a over the master's eight bytes then the index's eight
 // bytes, masked to a non-negative int64. It is exported so layers that
@@ -195,16 +109,4 @@ func PairedRunSeed(master int64, idx int) int64 {
 	}
 	h.Write(buf[:])
 	return int64(h.Sum64() &^ (1 << 63))
-}
-
-// roundAborted extracts the abort round of the most recent run from a
-// worker's strategy instance, or 0 when the strategy never aborted or
-// does not expose the capability.
-func roundAborted(adv sim.Adversary) int {
-	if ra, ok := adv.(sim.RoundAborter); ok {
-		if r, aborted := ra.AbortedRound(); aborted {
-			return r
-		}
-	}
-	return 0
 }

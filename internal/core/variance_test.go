@@ -1,15 +1,17 @@
 package core_test
 
 // Engine-level tests for the variance-reduction options: control
-// variates (exact-residual estimation), common-random-numbers pairing,
-// and abort-round stratification tallies. Everything here exercises the
-// contract DESIGN.md §12 states: the options change coin streams or the
-// estimator, never the estimand, and with all of them off the engine is
-// untouched (the frozen byte-identity matrices in internal/sweep and
-// internal/search pin that half).
+// variates (exact-residual estimation) and common-random-numbers
+// pairing. Everything here exercises the contract DESIGN.md §11 states:
+// the options change coin streams or the estimator, never the estimand,
+// and with all of them off the engine is untouched (the frozen
+// byte-identity matrices in internal/sweep and internal/search pin that
+// half). The two *RunsFloor tests are the levers' CI floors: each lever
+// must keep saving at least a fixed factor of runs on the workload it
+// was built for.
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -157,87 +159,6 @@ func TestEventLogTooShort(t *testing.T) {
 	}
 }
 
-// TestAbortRoundStrataTally: the tally must partition exactly the
-// estimation's runs by reported abort round — a fixed-round aborter
-// lands every run in its round's stratum, and a strategy without the
-// RoundAborter capability (sim.Passive) lands everything in stratum 0.
-func TestAbortRoundStrataTally(t *testing.T) {
-	proto := twoparty.New(twoparty.Swap())
-	const runs = 120
-	tally := core.NewAbortRoundTally()
-	rep, err := core.EstimateUtility(proto, adversary.NewAbortAt(2, 1), core.StandardPayoff(),
-		uniform2, runs, 9, core.WithAbortRoundStrata(tally), core.WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tally.Total(); got != runs {
-		t.Fatalf("tally holds %d runs, want %d", got, runs)
-	}
-	rounds := tally.Rounds()
-	if len(rounds) != 1 || rounds[0] != 2 {
-		t.Fatalf("abort-at-2 strata rounds %v, want [2]", rounds)
-	}
-	counts := tally.Counts(2)
-	for i, e := range core.Events() {
-		if want := rep.EventFreq[e] * runs; math.Abs(float64(counts[i])-want) > 1e-9 {
-			t.Errorf("stratum 2 event %v count %d, want %g", e, counts[i], want)
-		}
-	}
-
-	passive := core.NewAbortRoundTally()
-	if _, err := core.EstimateUtility(proto, sim.Passive{}, core.StandardPayoff(),
-		uniform2, 40, 9, core.WithAbortRoundStrata(passive)); err != nil {
-		t.Fatal(err)
-	}
-	if rounds := passive.Rounds(); len(rounds) != 1 || rounds[0] != 0 {
-		t.Errorf("capability-less strategy strata rounds %v, want [0]", rounds)
-	}
-}
-
-// TestAbortRoundStrataReduce closes the loop with stats: reducing a
-// first-hit tally through StratifiedEstimate with proportional
-// empirical weights reproduces the pooled mean (the post-stratification
-// identity), on a workload whose abort round actually varies.
-func TestAbortRoundStrataReduce(t *testing.T) {
-	proto, err := gordonkatz.NewPolyDomain(gordonkatz.AND(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gamma := core.StandardPayoff()
-	const runs = 400
-	tally := core.NewAbortRoundTally()
-	rep, err := core.EstimateUtility(proto, gordonkatz.NewFirstHit(1), gamma,
-		core.FixedInputs(uint64(1), uint64(1)), runs, 11, core.WithAbortRoundStrata(tally))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := tally.Rounds()
-	if len(rounds) < 2 {
-		t.Fatalf("first-hit strata rounds %v, want at least two strata", rounds)
-	}
-	values := []float64{gamma.Of(core.E00), gamma.Of(core.E01), gamma.Of(core.E10), gamma.Of(core.E11)}
-	var strata []stats.Stratum
-	for _, round := range rounds {
-		c := tally.Counts(round)
-		var n int64
-		for _, v := range c {
-			n += v
-		}
-		strata = append(strata, stats.Stratum{
-			Weight: float64(n) / float64(runs),
-			Values: values,
-			Counts: c[:],
-		})
-	}
-	est, err := stats.StratifiedEstimate(strata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Mean-rep.Utility.Mean) > 1e-12 {
-		t.Errorf("stratified mean %v != pooled mean %v", est.Mean, rep.Utility.Mean)
-	}
-}
-
 // TestPairedRunSeed pins the CRN seed derivation's basic properties:
 // deterministic, non-negative (a rand seed), and index-sensitive.
 func TestPairedRunSeed(t *testing.T) {
@@ -257,5 +178,141 @@ func TestPairedRunSeed(t *testing.T) {
 	}
 	if core.PairedRunSeed(1, 0) == core.PairedRunSeed(2, 0) {
 		t.Error("different masters must give different run seeds")
+	}
+}
+
+// floorTargetHW is the half-width every runs-to-target search drives to.
+const floorTargetHW = 0.01
+
+// runsToTarget finds the smallest run count (up to a doubling cap) whose
+// measured half-width reaches target: geometric growth to bracket, then
+// bisection. Monte-Carlo half-widths are only statistically monotone in
+// the run count, so the result is a representative cost, not a sharp
+// minimum — which is exactly what a savings ratio needs.
+func runsToTarget(target float64, measure func(runs int) (float64, error)) (int, error) {
+	const cap = 1 << 21
+	lo, hi := 0, 16
+	for {
+		hw, err := measure(hi)
+		if err != nil {
+			return 0, err
+		}
+		if hw <= target {
+			break
+		}
+		if hi >= cap {
+			return 0, fmt.Errorf("half-width %g still above target %g at %d runs", hw, target, hi)
+		}
+		lo = hi
+		hi *= 2
+	}
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		hw, err := measure(mid)
+		if err != nil {
+			return 0, err
+		}
+		if hw <= target {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, nil
+}
+
+// TestControlVariateRunsFloor: on the Gordon–Katz first-hit cell at the
+// paper's payoff, the exact-residual control variate must reach the
+// 0.01 half-width in at least 3× fewer runs than the plain estimator.
+// The residual is identically zero there, so the measured ratio is in
+// the thousands; the floor only catches a lever that stopped working.
+func TestControlVariateRunsFloor(t *testing.T) {
+	const seed, floor = 1, 3.0
+	proto, err := gordonkatz.NewPolyDomain(gordonkatz.AND(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma := core.GordonKatzPayoff()
+	cv := core.GKFirstHitControl(gamma, proto.NumRounds()/2, 0.5)
+	measure := func(extra ...core.Option) func(runs int) (float64, error) {
+		return func(runs int) (float64, error) {
+			r, err := core.EstimateUtility(proto, gordonkatz.NewFirstHit(1), gamma,
+				core.FixedInputs(uint64(1), uint64(1)), runs, seed, extra...)
+			if err != nil {
+				return 0, err
+			}
+			return r.Utility.HalfWidth, nil
+		}
+	}
+	plain, err := runsToTarget(floorTargetHW, measure())
+	if err != nil {
+		t.Fatalf("plain: %v", err)
+	}
+	reduced, err := runsToTarget(floorTargetHW, measure(core.WithControlVariate(cv)))
+	if err != nil {
+		t.Fatalf("control variate: %v", err)
+	}
+	ratio := float64(plain) / float64(reduced)
+	t.Logf("plain %d runs, control variate %d runs: %.1fx", plain, reduced, ratio)
+	if ratio < floor {
+		t.Errorf("control variate saves %.2fx runs (%d vs %d), below the %gx floor", ratio, plain, reduced, floor)
+	}
+}
+
+// TestPairedDeltaRunsFloor: certifying the delta between abort-at-1 and
+// abort-at-2 on ΠOpt-2SFE with stats.PairedEstimateZ must need at least
+// 1.5× fewer runs per side when both estimations share a CRN master
+// than when they are seeded independently. Both sides use the same
+// per-run difference estimator, so the ratio isolates what seed pairing
+// buys.
+func TestPairedDeltaRunsFloor(t *testing.T) {
+	const seed, floor = 1, 1.5
+	proto := twoparty.New(twoparty.Swap())
+	gamma := core.StandardPayoff()
+	z := stats.ZQuantile(0.05)
+	master := int64(uint64(seed)*0x9e3779b9 | 1)
+	measure := func(paired bool) func(runs int) (float64, error) {
+		return func(runs int) (float64, error) {
+			logA := make([]core.Event, runs)
+			logB := make([]core.Event, runs)
+			optsA := []core.Option{core.WithEventLog(logA)}
+			optsB := []core.Option{core.WithEventLog(logB)}
+			if paired {
+				optsA = append(optsA, core.WithPairedSeeds(master))
+				optsB = append(optsB, core.WithPairedSeeds(master))
+			}
+			if _, err := core.EstimateUtility(proto, adversary.NewAbortAt(1, 1), gamma,
+				uniform2, runs, seed, optsA...); err != nil {
+				return 0, err
+			}
+			if _, err := core.EstimateUtility(proto, adversary.NewAbortAt(2, 1), gamma,
+				uniform2, runs, seed+7919, optsB...); err != nil {
+				return 0, err
+			}
+			va := make([]float64, runs)
+			vb := make([]float64, runs)
+			for i := 0; i < runs; i++ {
+				va[i] = gamma.Of(logA[i])
+				vb[i] = gamma.Of(logB[i])
+			}
+			est, err := stats.PairedEstimateZ(va, vb, z)
+			if err != nil {
+				return 0, err
+			}
+			return est.HalfWidth, nil
+		}
+	}
+	unpaired, err := runsToTarget(floorTargetHW, measure(false))
+	if err != nil {
+		t.Fatalf("unpaired: %v", err)
+	}
+	paired, err := runsToTarget(floorTargetHW, measure(true))
+	if err != nil {
+		t.Fatalf("paired: %v", err)
+	}
+	ratio := float64(unpaired) / float64(paired)
+	t.Logf("unpaired %d runs, paired %d runs: %.1fx", unpaired, paired, ratio)
+	if ratio < floor {
+		t.Errorf("CRN pairing saves %.2fx runs (%d vs %d), below the %gx floor", ratio, unpaired, paired, floor)
 	}
 }

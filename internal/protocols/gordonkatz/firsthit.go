@@ -23,19 +23,17 @@ func (m *mpMachine) lastReveal() (int, uint64) { return m.lastIter, m.lastVal }
 // fallback value for a reconstruction, so its E10 probability is exactly
 // the closed form core.GKFirstHitExact(r, h).
 type FirstHit struct {
-	target     sim.PartyID
-	ctx        *sim.AdvContext
-	machine    revealTracker
-	aborted    bool
-	abortRound int
-	learned    sim.Value
-	learnedOK  bool
+	target    sim.PartyID
+	ctx       *sim.AdvContext
+	machine   revealTracker
+	aborted   bool
+	learned   sim.Value
+	learnedOK bool
 }
 
 var (
 	_ sim.Adversary       = (*FirstHit)(nil)
 	_ sim.AdversaryCloner = (*FirstHit)(nil)
-	_ sim.RoundAborter    = (*FirstHit)(nil)
 )
 
 // NewFirstHit corrupts target.
@@ -47,13 +45,9 @@ func (f *FirstHit) CloneAdversary() sim.Adversary { return NewFirstHit(f.target)
 // Reset implements sim.Adversary.
 func (f *FirstHit) Reset(ctx *sim.AdvContext) {
 	f.ctx, f.machine = ctx, nil
-	f.aborted, f.abortRound = false, 0
+	f.aborted = false
 	f.learned, f.learnedOK = nil, false
 }
-
-// AbortedRound implements sim.RoundAborter: the wire round whose opening
-// the last run withheld, if the attacker hit the true output at all.
-func (f *FirstHit) AbortedRound() (int, bool) { return f.abortRound, f.aborted }
 
 // InitialCorruptions implements sim.Adversary.
 func (f *FirstHit) InitialCorruptions() []sim.PartyID { return []sim.PartyID{f.target} }
@@ -87,7 +81,7 @@ func (f *FirstHit) Act(round int, inboxes map[sim.PartyID][]sim.Message, _ []sim
 	}
 	if iter, v := f.machine.lastReveal(); iter >= 1 && sim.ValuesEqual(v, f.ctx.TrueOutput) {
 		f.learned, f.learnedOK = v, true
-		f.aborted, f.abortRound = true, round
+		f.aborted = true
 		return nil // withhold this round's opening: the abort
 	}
 	for i := range out {

@@ -203,6 +203,13 @@ func (e *emitter) step(kind, arm string, wave int, compute func() (Record, error
 				"search: checkpoint record %d is (%s %s wave %d), schedule expects (%s %s wave %d) — stale or foreign checkpoint",
 				e.pos, rec.Kind, rec.Arm, rec.Wave, kind, arm, wave)
 		}
+		// Replay trusts the recorded counts in place of simulation, so
+		// they must partition exactly the runs the record adds.
+		if !countsPartition(rec.Events, rec.Runs) {
+			return Record{}, false, fmt.Errorf(
+				"search: checkpoint record %d (%s %s wave %d) has event counts %v for %d runs — tampered checkpoint",
+				e.pos, rec.Kind, rec.Arm, rec.Wave, rec.Events, rec.Runs)
+		}
 		e.pos++
 		return rec, true, nil
 	}
@@ -216,4 +223,18 @@ func (e *emitter) step(kind, arm string, wave int, compute func() (Record, error
 		}
 	}
 	return rec, false, nil
+}
+
+// countsPartition reports whether counts are non-negative and add up to
+// exactly runs. Each count is checked against runs first, so the sum
+// cannot overflow into a false match.
+func countsPartition(counts [4]int64, runs int) bool {
+	var sum int64
+	for _, c := range counts {
+		if c < 0 || c > int64(runs) {
+			return false
+		}
+		sum += c
+	}
+	return sum == int64(runs)
 }

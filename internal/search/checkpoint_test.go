@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -51,15 +52,21 @@ func assertReportsEqual(t *testing.T, a, b *search.Report) {
 	}
 }
 
+// resumeOptions is the small search the resume tests checkpoint.
+func resumeOptions() search.Options {
+	o := acceptanceOptions
+	o.FinalRuns = 800
+	o.RaceRuns = 300
+	return o
+}
+
 // TestResumeByteIdentity is the resume contract: a checkpoint
 // interrupted at any record boundary — including right after a kill
 // record, i.e. with an arm half-eliminated, and mid-line (a torn write)
 // — resumes to a byte-identical file and an identical report.
 func TestResumeByteIdentity(t *testing.T) {
 	f := acceptanceFamilies(t)[0]
-	o := acceptanceOptions
-	o.FinalRuns = 800
-	o.RaceRuns = 300
+	o := resumeOptions()
 	dir := t.TempDir()
 
 	full := filepath.Join(dir, "full.jsonl")
@@ -155,4 +162,78 @@ func TestResumeByteIdentity(t *testing.T) {
 	if _, err := search.Run(f.proto, f.space, f.gamma, f.sampler, 12, o); err == nil {
 		t.Error("foreign checkpoint accepted")
 	}
+}
+
+// TestResumeRejectsTamperedCounts: replay substitutes a record's
+// outcome counts for simulation, so counts that do not partition the
+// record's runs must be refused with an error naming the record, not
+// certified. The wrapped variant sums to the runs only modulo 2⁶⁴.
+func TestResumeRejectsTamperedCounts(t *testing.T) {
+	f := acceptanceFamilies(t)[0]
+	o := resumeOptions()
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.jsonl")
+	o.Checkpoint = full
+	if _, err := search.Run(f.proto, f.space, f.gamma, f.sampler, 11, o); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndex(data, []byte(`{"kind":"final"`))
+	if last < 0 {
+		t.Fatal("no final record in the checkpoint")
+	}
+	events := regexp.MustCompile(`"events":\[[^\]]*\]`)
+	for _, tampered := range []string{
+		`"events":[0,0,5000,0]`,
+		`"events":[4611686018427387904,4611686018427387904,4611686018427387904,4611686018427388704]`,
+	} {
+		path := filepath.Join(dir, "tampered.jsonl")
+		bad := append(append([]byte{}, data[:last]...), events.ReplaceAll(data[last:], []byte(tampered))...)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o.Checkpoint = path
+		rep, err := search.Run(f.proto, f.space, f.gamma, f.sampler, 11, o)
+		if err == nil {
+			t.Fatalf("%s: resumed to %s = %v, want an error", tampered, rep.Best, rep.BestReport.Utility)
+		}
+		if !strings.Contains(err.Error(), "final") || !strings.Contains(err.Error(), "event counts") {
+			t.Errorf("%s: error %q does not name the tampered final record", tampered, err)
+		}
+	}
+}
+
+// FuzzSearchResume resumes the resume tests' search from arbitrary
+// record bytes behind a valid header. Resume must never panic: it
+// either rejects the checkpoint or certifies the best arm on exactly
+// FinalRuns runs.
+func FuzzSearchResume(f *testing.F) {
+	fam := acceptanceFamilies(f)[0]
+	o := resumeOptions()
+	o.Checkpoint = filepath.Join(f.TempDir(), "full.jsonl")
+	if _, err := search.Run(fam.proto, fam.space, fam.gamma, fam.sampler, 11, o); err != nil {
+		f.Fatal(err)
+	}
+	full, err := os.ReadFile(o.Checkpoint)
+	if err != nil {
+		f.Fatal(err)
+	}
+	hd := full[:bytes.IndexByte(full, '\n')+1]
+	f.Fuzz(func(t *testing.T, records []byte) {
+		o := o
+		o.Checkpoint = filepath.Join(t.TempDir(), "cp.jsonl")
+		if err := os.WriteFile(o.Checkpoint, append(append([]byte{}, hd...), records...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := search.Run(fam.proto, fam.space, fam.gamma, fam.sampler, 11, o)
+		if err != nil {
+			return
+		}
+		if rep.BestReport.Utility.N != int64(o.FinalRuns) {
+			t.Fatalf("resumed to %s certified on n=%d, want FinalRuns=%d", rep.Best, rep.BestReport.Utility.N, o.FinalRuns)
+		}
+	})
 }

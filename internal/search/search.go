@@ -71,7 +71,7 @@ type Options struct {
 	MaxArms int
 	// Exhaustive disables racing and pruning: every arm is estimated at
 	// FinalRuns on its arm seed. This is the ground-truth comparator the
-	// acceptance tests and fairbench -search measure savings against.
+	// acceptance tests measure savings against.
 	Exhaustive bool
 	// PairedSeeds races the arms on common random numbers
 	// (core.WithPairedSeeds): run i of every arm's racing waves draws its

@@ -32,7 +32,7 @@ type family struct {
 	slack   float64 // Monte-Carlo slack on the closed-form check
 }
 
-func acceptanceFamilies(t *testing.T) []family {
+func acceptanceFamilies(t testing.TB) []family {
 	t.Helper()
 	std := core.StandardPayoff()
 	gk, err := gordonkatz.NewPolyDomain(gordonkatz.AND(), 2)

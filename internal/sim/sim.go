@@ -180,17 +180,6 @@ func CloneAdversary(adv Adversary) (Adversary, bool) {
 	return clone, true
 }
 
-// RoundAborter is an optional Adversary capability: reporting the wire
-// round at which the strategy went silent in its most recent run, for
-// the estimator's abort-round stratification (core.WithAbortRoundStrata).
-// aborted=false means the run completed without an adversarial abort.
-// The report must describe the run that just finished — implementations
-// clear it in Reset — and a strategy that never aborts simply does not
-// implement the interface.
-type RoundAborter interface {
-	AbortedRound() (round int, aborted bool)
-}
-
 // ReusableParty is an optional Party capability for the estimation hot
 // path: Reinit re-initializes the machine in place for a new run of the
 // same protocol, sparing the allocation of a fresh machine. A

@@ -1,10 +1,9 @@
 package stats
 
-// This file holds the variance-reduction estimators: paired differences
-// (common random numbers) and post-stratification with known stratum
-// weights. Both reduce the half-width of a certified comparison without
-// touching its mean's correctness — see DESIGN.md §12 for when each
-// lever is sound.
+// This file holds the paired-difference (common random numbers)
+// estimator: it reduces the half-width of a certified comparison without
+// touching its mean's correctness — see DESIGN.md §11 for when the lever
+// is sound.
 
 import (
 	"fmt"
@@ -54,115 +53,4 @@ func PairedEstimateZ(a, b []float64, z float64) (Estimate, error) {
 	variance := ss / float64(n-1)
 	hw := z * math.Sqrt(variance/float64(n))
 	return Estimate{Mean: mean, HalfWidth: hw, N: int64(n)}, nil
-}
-
-// Stratum is one post-stratification cell: the stratum's known
-// probability Weight and its sampled outcomes in the count-based form of
-// EstimateFromCounts (value values[i] observed counts[i] times).
-type Stratum struct {
-	// Weight is the stratum's known probability mass. Weights must be
-	// non-negative; the caller normalizes them (they sum to 1 when the
-	// strata partition the sample space).
-	Weight float64
-	// Values and Counts form the stratum's sample multiset.
-	Values []float64
-	Counts []int64
-}
-
-// StratifiedEstimate reduces per-stratum tallies to the
-// post-stratification estimate with known weights: mean Σ w_k·m_k and
-// 95% half-width 1.96·√(Σ w_k²·s_k²/n_k). When the stratum variable
-// (e.g. the abort round) explains part of the outcome's variance, the
-// within-stratum variances s_k² are smaller than the pooled variance and
-// the interval shrinks — the mean stays an unbiased estimate of the same
-// expectation as long as the weights are the strata's true
-// probabilities.
-//
-// Degenerate case: a single stratum with weight 1 reproduces
-// EstimateFromCounts over the same tallies bit for bit. A positive-
-// weight stratum with no samples (or a single sample, which carries no
-// variance information) makes the half-width +Inf: the estimate cannot
-// claim the missing stratum's contribution with any confidence. Zero-
-// weight strata contribute nothing and may be empty.
-func StratifiedEstimate(strata []Stratum) (Estimate, error) {
-	return StratifiedEstimateZ(strata, 1.96)
-}
-
-// StratifiedEstimateZ is StratifiedEstimate with an explicit normal
-// quantile z (see ZQuantile).
-func StratifiedEstimateZ(strata []Stratum, z float64) (Estimate, error) {
-	if len(strata) == 0 {
-		return Estimate{}, ErrNoSamples
-	}
-	var mean, varsum float64
-	var n int64
-	tight := true // every sampled positive-weight stratum had ≥ 2 samples
-	for k, st := range strata {
-		if st.Weight < 0 || math.IsNaN(st.Weight) {
-			return Estimate{}, fmt.Errorf("stats: stratum %d has invalid weight %v", k, st.Weight)
-		}
-		m, variance, nk, err := countMoments(st.Values, st.Counts)
-		if err != nil {
-			return Estimate{}, fmt.Errorf("stats: stratum %d: %w", k, err)
-		}
-		if nk == 0 {
-			if st.Weight > 0 {
-				tight = false
-			}
-			continue
-		}
-		n += nk
-		if st.Weight == 0 {
-			continue
-		}
-		mean += st.Weight * m
-		if nk == 1 {
-			tight = false
-			continue
-		}
-		varsum += st.Weight * st.Weight * (variance / float64(nk))
-	}
-	if n == 0 {
-		return Estimate{}, ErrNoSamples
-	}
-	hw := z * math.Sqrt(varsum)
-	if !tight {
-		hw = math.Inf(1)
-	}
-	return Estimate{Mean: mean, HalfWidth: hw, N: n}, nil
-}
-
-// countMoments computes the mean and Bessel-corrected variance of a
-// count-based sample multiset with exactly EstimateFromCounts'
-// arithmetic (same accumulation order, same expressions), so a single
-// weight-1 stratum reproduces the pooled estimator bit for bit. An
-// empty multiset is not an error here — StratifiedEstimateZ treats it
-// as a missing stratum.
-func countMoments(values []float64, counts []int64) (mean, variance float64, n int64, err error) {
-	if len(values) != len(counts) {
-		return 0, 0, 0, fmt.Errorf("stats: %d values for %d counts", len(values), len(counts))
-	}
-	for _, c := range counts {
-		if c < 0 {
-			return 0, 0, 0, fmt.Errorf("stats: negative count %d", c)
-		}
-		n += c
-	}
-	if n == 0 {
-		return 0, 0, 0, nil
-	}
-	var sum float64
-	for i, c := range counts {
-		sum += float64(c) * values[i]
-	}
-	mean = sum / float64(n)
-	if n == 1 {
-		return mean, 0, 1, nil
-	}
-	var ss float64
-	for i, c := range counts {
-		d := values[i] - mean
-		ss += float64(c) * (d * d)
-	}
-	return mean, ss / float64(n-1), n, nil
 }

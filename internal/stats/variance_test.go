@@ -155,119 +155,3 @@ func TestPairedEstimateZWidens(t *testing.T) {
 		t.Errorf("quantile must not move the mean: %v vs %v", e1.Mean, e3.Mean)
 	}
 }
-
-// TestStratifiedEstimateDegenerateAgreement pins the soundness anchor
-// the sweep's determinism contract relies on: a single stratum with
-// weight 1 must reproduce EstimateFromCounts over the same tallies bit
-// for bit — mean, half-width, and sample count.
-func TestStratifiedEstimateDegenerateAgreement(t *testing.T) {
-	values := []float64{0, 0, 1, 0.5}
-	counts := []int64{17, 3, 41, 39}
-	pooled, err := EstimateFromCounts(values, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strat, err := StratifiedEstimate([]Stratum{{Weight: 1, Values: values, Counts: counts}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strat.Mean != pooled.Mean || strat.HalfWidth != pooled.HalfWidth || strat.N != pooled.N {
-		t.Errorf("weight-1 stratum %v ± %v (n=%d) not bit-identical to pooled %v ± %v (n=%d)",
-			strat.Mean, strat.HalfWidth, strat.N, pooled.Mean, pooled.HalfWidth, pooled.N)
-	}
-}
-
-// TestStratifiedEstimateErrors covers the malformed-input surface.
-func TestStratifiedEstimateErrors(t *testing.T) {
-	if _, err := StratifiedEstimate(nil); err != ErrNoSamples {
-		t.Errorf("no strata: err = %v, want ErrNoSamples", err)
-	}
-	if _, err := StratifiedEstimate([]Stratum{
-		{Weight: -0.5, Values: []float64{1}, Counts: []int64{2}},
-	}); err == nil {
-		t.Error("negative weight: expected error")
-	}
-	if _, err := StratifiedEstimate([]Stratum{
-		{Weight: math.NaN(), Values: []float64{1}, Counts: []int64{2}},
-	}); err == nil {
-		t.Error("NaN weight: expected error")
-	}
-	if _, err := StratifiedEstimate([]Stratum{
-		{Weight: 1, Values: []float64{1, 2}, Counts: []int64{1}},
-	}); err == nil {
-		t.Error("length mismatch: expected error")
-	}
-}
-
-// TestStratifiedEstimateMissingStratum: a positive-weight stratum with
-// no samples (or only one) makes the half-width +Inf — the estimate
-// cannot claim the missing stratum's contribution with any confidence —
-// while zero-weight strata may be empty without penalty.
-func TestStratifiedEstimateMissingStratum(t *testing.T) {
-	sampled := Stratum{Weight: 0.5, Values: []float64{0, 1}, Counts: []int64{10, 10}}
-	est, err := StratifiedEstimate([]Stratum{sampled, {Weight: 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(est.HalfWidth, 1) {
-		t.Errorf("empty positive-weight stratum: hw = %v, want +Inf", est.HalfWidth)
-	}
-	est, err = StratifiedEstimate([]Stratum{sampled,
-		{Weight: 0.5, Values: []float64{1}, Counts: []int64{1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(est.HalfWidth, 1) {
-		t.Errorf("single-sample stratum: hw = %v, want +Inf", est.HalfWidth)
-	}
-	est, err = StratifiedEstimate([]Stratum{
-		{Weight: 1, Values: sampled.Values, Counts: sampled.Counts},
-		{Weight: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsInf(est.HalfWidth, 1) {
-		t.Errorf("empty zero-weight stratum must not poison the interval: hw = %v", est.HalfWidth)
-	}
-}
-
-// TestStratifiedEstimateProportionalWeights: with empirical proportional
-// weights w_k = n_k/n the stratified mean equals the pooled mean (the
-// post-stratification identity) and the interval never widens beyond
-// rounding, since only between-stratum variance is removed.
-func TestStratifiedEstimateProportionalWeights(t *testing.T) {
-	values := []float64{0, 1}
-	strata := []Stratum{
-		{Values: values, Counts: []int64{40, 10}},
-		{Values: values, Counts: []int64{5, 45}},
-	}
-	var n int64
-	for _, st := range strata {
-		for _, c := range st.Counts {
-			n += c
-		}
-	}
-	var pooledCounts = []int64{45, 55}
-	for i := range strata {
-		var nk int64
-		for _, c := range strata[i].Counts {
-			nk += c
-		}
-		strata[i].Weight = float64(nk) / float64(n)
-	}
-	pooled, err := EstimateFromCounts(values, pooledCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strat, err := StratifiedEstimate(strata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(strat.Mean-pooled.Mean) > 1e-12 {
-		t.Errorf("proportional-weight mean %v != pooled mean %v", strat.Mean, pooled.Mean)
-	}
-	if strat.HalfWidth > pooled.HalfWidth*1.01 {
-		t.Errorf("stratified hw %v wider than pooled %v", strat.HalfWidth, pooled.HalfWidth)
-	}
-}

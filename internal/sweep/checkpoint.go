@@ -64,16 +64,26 @@ type header struct {
 
 const checkpointVersion = 1
 
-func (s *Sweep) header() header {
-	keys := ""
+// keys returns the planned record keys in checkpoint order: cells, then
+// sums, then deltas.
+func (s *Sweep) keys() []string {
+	keys := make([]string, 0, s.Records())
 	for _, c := range s.Cells {
-		keys += c.Key + "\n"
+		keys = append(keys, c.Key)
 	}
 	for _, p := range s.Sums {
-		keys += p.Key + "\n"
+		keys = append(keys, p.Key)
 	}
 	for _, d := range s.Deltas {
-		keys += d.Key + "\n"
+		keys = append(keys, d.Key)
+	}
+	return keys
+}
+
+func (s *Sweep) header() header {
+	keys := ""
+	for _, k := range s.keys() {
+		keys += k + "\n"
 	}
 	return header{
 		Kind:    "sweep-header",
@@ -184,17 +194,7 @@ func LoadCheckpoint(path string, s *Sweep) (recs []Record, truncateTo int64, err
 		return nil, -1, fmt.Errorf("sweep: checkpoint %s does not match this sweep (header mismatch)", path)
 	}
 
-	wantKeys := make([]string, 0, s.Records())
-	for _, c := range s.Cells {
-		wantKeys = append(wantKeys, c.Key)
-	}
-	for _, p := range s.Sums {
-		wantKeys = append(wantKeys, p.Key)
-	}
-	for _, d := range s.Deltas {
-		wantKeys = append(wantKeys, d.Key)
-	}
-
+	wantKeys := s.keys()
 	offset := int64(nl + 1)
 	rest := data[nl+1:]
 	for len(rest) > 0 {

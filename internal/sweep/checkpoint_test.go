@@ -6,7 +6,22 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
+
+// smallSpec is a small grid with both cell and aggregate sum records.
+func smallSpec() Spec {
+	return Spec{
+		Families:   []string{"oneround", "optn"},
+		Gammas:     []core.Payoff{core.StandardPayoff()},
+		Ns:         []int{2, 3},
+		Costs:      []string{"zero", "optimal"},
+		AbortSweep: true,
+		Runs:       60,
+		Seed:       77,
+	}
+}
 
 // writeCompleted runs a full sweep into path and returns the plan and
 // the file bytes.
@@ -27,7 +42,7 @@ func writeCompleted(t *testing.T, spec Spec, path string) (*Sweep, []byte) {
 }
 
 func TestLoadCheckpointHeaderMismatch(t *testing.T) {
-	spec := rangeSpec()
+	spec := smallSpec()
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
 	writeCompleted(t, spec, path)
 
@@ -52,7 +67,7 @@ func TestLoadCheckpointHeaderMismatch(t *testing.T) {
 // unparsable line, and the load must fail rather than resume over
 // corruption.
 func TestLoadCheckpointTornTailThenGarbage(t *testing.T) {
-	spec := rangeSpec()
+	spec := smallSpec()
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
 	sw, data := writeCompleted(t, spec, path)
 
@@ -101,7 +116,7 @@ func TestLoadCheckpointTornTailThenGarbage(t *testing.T) {
 // over it must fail loudly instead of silently restarting — the file's
 // provenance is unknown.
 func TestRunEmptyCheckpointFile(t *testing.T) {
-	spec := rangeSpec()
+	spec := smallSpec()
 	path := filepath.Join(t.TempDir(), "empty.jsonl")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -118,4 +133,42 @@ func TestRunEmptyCheckpointFile(t *testing.T) {
 		!strings.Contains(err.Error(), "header mismatch") {
 		t.Errorf("empty-file resume via Run: err = %v, want header mismatch", err)
 	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary record bytes behind a valid header
+// to the checkpoint loader. It must never panic, and a load it accepts
+// must return records whose keys follow the plan's order, with a
+// truncation offset inside the file.
+func FuzzLoadCheckpoint(f *testing.F) {
+	sw, err := Plan(smallSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	hd, err := marshalLine(sw.header())
+	if err != nil {
+		f.Fatal(err)
+	}
+	want := sw.keys()
+	f.Fuzz(func(t *testing.T, records []byte) {
+		data := append(append([]byte{}, hd...), records...)
+		path := filepath.Join(t.TempDir(), "cp.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, truncateTo, err := LoadCheckpoint(path, sw)
+		if err != nil {
+			return
+		}
+		if len(recs) > len(want) {
+			t.Fatalf("accepted %d records, plan has %d", len(recs), len(want))
+		}
+		for i, rec := range recs {
+			if rec.Key != want[i] {
+				t.Fatalf("accepted record %d with key %q, plan expects %q", i, rec.Key, want[i])
+			}
+		}
+		if truncateTo < int64(len(hd)) || truncateTo > int64(len(data)) {
+			t.Fatalf("truncateTo %d outside [%d, %d]", truncateTo, len(hd), len(data))
+		}
+	})
 }

@@ -166,21 +166,6 @@ func TestPairedSweepResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsPairedDeltas: delta records reduce two cells' per-run
-// event logs at once, which a range worker cannot provide — the fabric
-// merge path must refuse paired plans outright instead of silently
-// dropping the deltas.
-func TestMergeRejectsPairedDeltas(t *testing.T) {
-	sw, err := Plan(pairedSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.Merge("", make([]Record, len(sw.Cells)), nil); err == nil ||
-		!strings.Contains(err.Error(), "single-machine") {
-		t.Fatalf("Merge on a paired plan: err = %v, want single-machine rejection", err)
-	}
-}
-
 // TestPairedSpecChangesKeysOnly: switching the options on must not
 // change the number or order of cells — only the record content and the
 // added deltas — and the unpaired plan must carry no deltas at all.

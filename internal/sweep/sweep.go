@@ -701,12 +701,10 @@ func (s *Sweep) runCell(c Cell, eventLog []core.Event) (Record, error) {
 	if c.Family == "gk" {
 		iters := proto.NumRounds() / 2
 		// Wilson score certification of the raw fairness-failure
-		// frequency Pr[E10] against the 1/p ceiling (Theorems 23/24).
+		// frequency Pr[E10] against the 1/p ceiling (Theorems 23/24), at
+		// the same union-bound budget δ′ as every other check.
 		e10 := int64(math.Round(rec.Events[2] * float64(c.Runs)))
-		lo, _, werr := stats.WilsonInterval(e10, int64(c.Runs))
-		if werr != nil {
-			return Record{}, fmt.Errorf("sweep: cell %s: %w", c.Key, werr)
-		}
+		lo, _ := stats.WilsonScore(float64(e10)/float64(c.Runs), int64(c.Runs), stats.ZQuantile(s.deltaPrime))
 		addCheck(Check{
 			Name: "gk-e10-wilson", Dir: "<=", Bound: 1 / float64(c.P),
 			Value: rec.Events[2], Margin: rec.Events[2] - lo,

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -349,6 +350,56 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 }
 
+// gkTightSpec is the default adaptive grid restricted to the
+// Gordon–Katz first-hit cells at p ∈ {4, 8}, where the exact Pr[E10]
+// sits within 10⁻³ of the 1/p ceiling: the cells a Wilson check with
+// too narrow an interval false-breaches on.
+func gkTightSpec(seed int64) Spec {
+	spec := DefaultSpec()
+	spec.Families = []string{"gk"}
+	spec.Gammas = []core.Payoff{core.GordonKatzPayoff(), core.StandardPayoff()}
+	spec.Ps = []int{4, 8}
+	spec.Costs = []string{"zero"}
+	spec.AbortSweep = false
+	spec.Seed = seed
+	return spec
+}
+
+// TestGKWilsonSpendsUnionBudget pins two seeds whose near-tight
+// Pr[E10] ≤ 1/p checks breached when the Wilson interval was a fixed
+// 95% one instead of spending the sweep's per-check budget δ′.
+func TestGKWilsonSpendsUnionBudget(t *testing.T) {
+	for _, seed := range []int64{4, 17} {
+		if _, err := Run(gkTightSpec(seed), "", nil); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestFalseBreachRateWithinDelta runs the near-tight Gordon–Katz grid
+// at 50 fixed seeds. Every cell is a correct protocol, so each sweep
+// breaches with probability at most Delta; the count over the fixed
+// seeds must stay within Delta × sweeps. The seeds are fixed, so the
+// test cannot flake.
+func TestFalseBreachRateWithinDelta(t *testing.T) {
+	const sweeps = 50
+	breaches := 0
+	for seed := int64(1); seed <= sweeps; seed++ {
+		sum, err := Run(gkTightSpec(seed), "", nil)
+		if err != nil && !errors.Is(err, ErrBreach) {
+			t.Fatal(err)
+		}
+		if !sum.OK() {
+			breaches++
+			t.Logf("seed %d: %d breached record(s)", seed, len(sum.Breaches))
+		}
+	}
+	if delta := gkTightSpec(1).Delta; float64(breaches) > delta*sweeps {
+		t.Errorf("%d of %d sweeps of correct protocols breached, want at most Delta × sweeps = %g",
+			breaches, sweeps, delta*sweeps)
+	}
+}
+
 // TestBreachDetection plants an impossible bound via a hostile payoff
 // route: certify against a deliberately wrong slack-free comparison by
 // shrinking MaxRuns? Instead, the honest route — a cell whose measured
@@ -374,5 +425,42 @@ func TestBreachDetection(t *testing.T) {
 		if br.OK {
 			t.Error("breach record marked OK")
 		}
+	}
+}
+
+// TestRunContextCancel pins the cancellation contract: a canceled sweep
+// stops between cells with a valid checkpoint, and a later Run resumes
+// it to a byte-identical complete file.
+func TestRunContextCancel(t *testing.T) {
+	spec := smallSpec()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cancel.jsonl")
+	refPath := filepath.Join(dir, "ref.jsonl")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	stopAfter := 5
+	progress := func(done, total int, rec Record, resumed bool) {
+		if done == stopAfter {
+			cancel()
+		}
+	}
+	sum, err := RunContext(ctx, spec, path, progress)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext: err = %v, want context.Canceled", err)
+	}
+	if len(sum.Records) != stopAfter {
+		t.Fatalf("canceled after %d records, want %d", len(sum.Records), stopAfter)
+	}
+
+	if _, err := Run(spec, path, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(spec, refPath, nil); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(path)
+	b, _ := os.ReadFile(refPath)
+	if !bytes.Equal(a, b) {
+		t.Fatal("resumed-after-cancel checkpoint differs from uninterrupted run")
 	}
 }

@@ -138,9 +138,6 @@ const (
 	// kindBye acknowledges a party's output frame; the client stays
 	// connected until it arrives so a lost output heals via replay.
 	kindBye
-	// kindData carries an opaque application payload over the generic
-	// reliable stream layer (see stream.go); session frames never use it.
-	kindData
 )
 
 // wireMsg is a serialized sim.Message.
@@ -345,9 +342,7 @@ var (
 
 // ErrKilled is the client-side sentinel for a faultinject.Kill decision:
 // the sending endpoint "crashes" by closing its connection and
-// abandoning the run. Exported so stream-layer callers (the sweep
-// fabric's chaos tests) can distinguish an injected crash from a real
-// transport failure.
+// abandoning the run.
 var ErrKilled = errors.New("transport: party killed by fault injection")
 
 // causeOf canonicalizes an I/O error into a deterministic fail-stop
