@@ -20,38 +20,33 @@ import (
 // arena runs allocation-free in steady state; the slice stepHonest
 // returns is valid only until the strategy's next Act.
 type driver struct {
-	ctx      *sim.AdvContext
-	machines map[sim.PartyID]sim.Party
+	ctx *sim.AdvContext
+	// held lists the corrupted parties whose machines the driver runs,
+	// ascending, and machines[i] is held[i]'s machine. add keeps the
+	// order, so the per-round loops neither range a map nor sort.
+	held     []sim.PartyID
+	machines []sim.Party
 
-	idScratch  []sim.PartyID
 	outScratch []sim.Message
 }
 
 func (d *driver) reset(ctx *sim.AdvContext) {
 	d.ctx = ctx
-	if d.machines == nil {
-		d.machines = make(map[sim.PartyID]sim.Party)
-	} else {
-		clear(d.machines)
-	}
+	clear(d.machines) // drop the previous run's machines
+	d.held, d.machines = d.held[:0], d.machines[:0]
 }
 
 func (d *driver) add(id sim.PartyID, m sim.Party) {
-	if m != nil {
-		d.machines[id] = m
+	if m == nil {
+		return
 	}
-}
-
-// ids returns the corrupted party IDs in deterministic order. The slice
-// is driver-owned scratch, valid until the next ids call.
-func (d *driver) ids() []sim.PartyID {
-	out := d.idScratch[:0]
-	for id := range d.machines {
-		out = append(out, id)
+	i, found := slices.BinarySearch(d.held, id)
+	if found {
+		d.machines[i] = m
+		return
 	}
-	slices.Sort(out)
-	d.idScratch = out
-	return out
+	d.held = slices.Insert(d.held, i, id)
+	d.machines = slices.Insert(d.machines, i, m)
 }
 
 // stepHonest advances every corrupted machine one round on its delivered
@@ -59,8 +54,8 @@ func (d *driver) ids() []sim.PartyID {
 // would. The returned slice is driver-owned scratch.
 func (d *driver) stepHonest(round int, inboxes map[sim.PartyID][]sim.Message) []sim.Message {
 	out := d.outScratch[:0]
-	for _, id := range d.ids() {
-		msgs, err := d.machines[id].Round(round, inboxes[id])
+	for i, id := range d.held {
+		msgs, err := d.machines[i].Round(round, inboxes[id])
 		if err != nil {
 			continue // a defective machine just goes silent
 		}
@@ -73,36 +68,12 @@ func (d *driver) stepHonest(round int, inboxes map[sim.PartyID][]sim.Message) []
 	return out
 }
 
-// lookahead plays a cloned machine forward assuming every *other* party
-// goes silent: from round start..last it receives only its own broadcasts
-// and self-addressed messages (a party always hears its own broadcast).
-// It returns the machine's final output.
-func lookahead(m sim.Party, id sim.PartyID, start, last int, pending []sim.Message) (sim.Value, bool) {
-	clone := m.Clone()
-	inbox := pending
-	for r := start; r <= last; r++ {
-		out, err := clone.Round(r, inbox)
-		if err != nil {
-			return nil, false
-		}
-		inbox = nil
-		for _, msg := range out {
-			if msg.To == sim.Broadcast || msg.To == id {
-				msg.From = id
-				inbox = append(inbox, msg)
-			}
-		}
+// copyMachine returns a copy of m for lookahead, overwriting the pooled
+// clone c in place when both implement sim.PartyCopier and cloning
+// afresh otherwise. Callers keep the result as their next pooled clone.
+func copyMachine(c, m sim.Party) sim.Party {
+	if cp, ok := c.(sim.PartyCopier); ok && cp.CopyFrom(m) {
+		return c
 	}
-	return clone.Output()
-}
-
-// filterFor selects the messages addressed to id (directly or broadcast).
-func filterFor(id sim.PartyID, msgs []sim.Message) []sim.Message {
-	var out []sim.Message
-	for _, m := range msgs {
-		if m.To == id || m.To == sim.Broadcast {
-			out = append(out, m)
-		}
-	}
-	return out
+	return m.Clone()
 }

@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 )
 
@@ -32,13 +34,15 @@ type LockAbort struct {
 }
 
 // lookaheadScratch holds the buffers the two per-round lock checks churn
-// through. They persist across Reset (the estimation arena reuses one
-// strategy instance for every run) and are never shared: CloneAdversary
-// rebuilds from configuration, so each worker's LockAbort owns its own.
+// through, indexed like the driver's held list. They persist across
+// Reset (the estimation arena reuses one strategy instance for every
+// run) and are never shared: CloneAdversary rebuilds from configuration,
+// so each worker's LockAbort owns its own.
 type lookaheadScratch struct {
-	clones   map[sim.PartyID]sim.Party
-	seed     map[sim.PartyID][]sim.Message
-	lanes    [2]map[sim.PartyID][]sim.Message
+	clones   []sim.Party
+	deliv    [][]sim.Message // the engine's delivered inboxes, read only
+	seed     [][]sim.Message // the rushed messages, routed
+	lanes    [2][][]sim.Message
 	produced []sim.Message
 }
 
@@ -82,13 +86,18 @@ func (l *LockAbort) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed
 	// Delivered-lock check: would the coalition, after processing this
 	// round's inboxes, reach the true output with all honest parties
 	// silent?
-	if v, ok := l.coalitionLookahead(round, inboxes, last, l.ctx.TrueOutput); ok {
+	deliv := l.la.deliv[:0]
+	for _, id := range l.held {
+		deliv = append(deliv, inboxes[id])
+	}
+	l.la.deliv = deliv
+	if v, ok := l.coalitionLookahead(round, deliv, last, l.ctx.TrueOutput); ok {
 		l.learnedVal, l.learnedOK = v, true
 		l.aborted = true
 		// Abort before sending this round's messages; still let the live
 		// machines consume their inboxes so any later inspection starts
 		// from a consistent state.
-		l.consume(round, inboxes)
+		l.consume(round, deliv)
 		return nil
 	}
 
@@ -105,11 +114,8 @@ func (l *LockAbort) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed
 	// honest parties whatever our messages would have given them. (This
 	// is exactly the Lemma 10 attack on single-reconstruction-round
 	// protocols.)
-	if l.la.seed == nil {
-		l.la.seed = make(map[sim.PartyID][]sim.Message, len(l.machines))
-	}
-	seed := routeInto(l.la.seed, l.machines, rushed)
-	if v, ok := l.coalitionLookahead(round+1, seed, last, l.ctx.TrueOutput); ok {
+	l.la.seed = routeInto(l.la.seed, l.held, rushed)
+	if v, ok := l.coalitionLookahead(round+1, l.la.seed, last, l.ctx.TrueOutput); ok {
 		l.learnedVal, l.learnedOK = v, true
 		l.aborted = true
 		return nil
@@ -117,78 +123,75 @@ func (l *LockAbort) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed
 	return out
 }
 
-// consume advances the live machines on their inboxes, discarding sends.
-func (l *LockAbort) consume(round int, inboxes map[sim.PartyID][]sim.Message) {
-	for _, id := range l.ids() {
-		_, _ = l.machines[id].Round(round, inboxes[id])
+// consume advances the live machines on their inboxes (indexed like
+// held), discarding sends.
+func (l *LockAbort) consume(round int, inboxes [][]sim.Message) {
+	for i, m := range l.machines {
+		_, _ = m.Round(round, inboxes[i])
 	}
 }
 
 // routeInto builds per-machine inboxes from a message batch into dst,
-// truncating its lanes in place: direct messages go to their corrupted
-// recipient, broadcasts to every corrupted machine.
-func routeInto(dst map[sim.PartyID][]sim.Message, machines map[sim.PartyID]sim.Party, msgs []sim.Message) map[sim.PartyID][]sim.Message {
-	for id := range dst {
-		dst[id] = dst[id][:0]
+// one lane per held party, truncating its lanes in place: direct
+// messages go to their corrupted recipient, broadcasts to every
+// corrupted machine.
+func routeInto(dst [][]sim.Message, held []sim.PartyID, msgs []sim.Message) [][]sim.Message {
+	for len(dst) < len(held) {
+		dst = append(dst, nil)
+	}
+	dst = dst[:len(held)]
+	for i := range dst {
+		dst[i] = dst[i][:0]
 	}
 	for _, m := range msgs {
 		if m.To == sim.Broadcast {
-			for id := range machines {
-				dst[id] = append(dst[id], m)
+			for i := range dst {
+				dst[i] = append(dst[i], m)
 			}
 			continue
 		}
-		if _, ok := machines[m.To]; ok {
-			dst[m.To] = append(dst[m.To], m)
+		if i := slices.Index(held, m.To); i >= 0 {
+			dst[i] = append(dst[i], m)
 		}
 	}
 	return dst
 }
 
-// coalitionLookahead clones every machine and plays the coalition forward
-// from startRound through last, feeding seed as the startRound inboxes
-// and thereafter delivering only intra-coalition messages (honest parties
-// are silent). It reports whether any clone reaches the target output —
-// Lemma 12's "some p_j would provide output if the execution continued
-// without p_i" test, restricted to the *actual* output so that
-// default-input fallbacks don't count (as in A1's check). seed is only
-// read; the routed rounds double-buffer through the scratch lanes.
+// coalitionLookahead copies every machine and plays the coalition
+// forward from startRound through last, feeding seed (indexed like held)
+// as the startRound inboxes and thereafter delivering only
+// intra-coalition messages (honest parties are silent). It reports
+// whether any copy reaches the target output — Lemma 12's "some p_j
+// would provide output if the execution continued without p_i" test,
+// restricted to the *actual* output so that default-input fallbacks
+// don't count (as in A1's check). seed is only read; the routed rounds
+// double-buffer through the scratch lanes. The coalition steps in
+// ascending id order.
 func (l *LockAbort) coalitionLookahead(startRound int,
-	seed map[sim.PartyID][]sim.Message, last int, target sim.Value) (sim.Value, bool) {
+	seed [][]sim.Message, last int, target sim.Value) (sim.Value, bool) {
 	s := &l.la
-	if s.clones == nil {
-		s.clones = make(map[sim.PartyID]sim.Party, len(l.machines))
-		s.lanes[0] = make(map[sim.PartyID][]sim.Message, len(l.machines))
-		s.lanes[1] = make(map[sim.PartyID][]sim.Message, len(l.machines))
-	}
 	// Refresh the clone pool: machines implementing sim.PartyCopier are
 	// overwritten in place (the estimation hot path — two lookaheads per
 	// round would otherwise clone the whole coalition each), the rest
-	// are cloned afresh. Stale entries for no-longer-held parties go.
-	for id := range s.clones {
-		if _, held := l.machines[id]; !held {
-			delete(s.clones, id)
-		}
+	// are cloned afresh.
+	for len(s.clones) < len(l.machines) {
+		s.clones = append(s.clones, nil)
 	}
-	for id, m := range l.machines {
-		if c := s.clones[id]; c != nil {
-			if cp, ok := c.(sim.PartyCopier); ok && cp.CopyFrom(m) {
-				continue
-			}
-		}
-		s.clones[id] = m.Clone()
+	s.clones = s.clones[:len(l.machines)]
+	for i, m := range l.machines {
+		s.clones[i] = copyMachine(s.clones[i], m)
 	}
 	inboxes := seed
 	lane := 0
 	for r := startRound; r <= last; r++ {
 		s.produced = s.produced[:0]
-		for id, c := range s.clones {
-			msgs, err := c.Round(r, inboxes[id])
+		for i, c := range s.clones {
+			msgs, err := c.Round(r, inboxes[i])
 			if err != nil {
 				continue
 			}
 			for _, m := range msgs {
-				m.From = id
+				m.From = l.held[i]
 				s.produced = append(s.produced, m)
 			}
 		}
@@ -197,7 +200,8 @@ func (l *LockAbort) coalitionLookahead(startRound int,
 				return v, true
 			}
 		}
-		inboxes = routeInto(s.lanes[lane], s.clones, s.produced)
+		s.lanes[lane] = routeInto(s.lanes[lane], l.held, s.produced)
+		inboxes = s.lanes[lane]
 		lane = 1 - lane
 	}
 	return nil, false

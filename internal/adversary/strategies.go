@@ -59,8 +59,8 @@ func (s *Static) noteOutputs() {
 	if s.learnedOK {
 		return
 	}
-	for _, id := range s.ids() {
-		if v, ok := s.machines[id].Output(); ok {
+	for _, m := range s.machines {
+		if v, ok := m.Output(); ok {
 			s.learnedVal, s.learnedOK = v, true
 			return
 		}
@@ -81,6 +81,18 @@ type AbortAt struct {
 	StopRound int
 	// AbortSetup additionally aborts the hybrid setup phase.
 	AbortSetup bool
+
+	la rushedScratch
+}
+
+// rushedScratch holds the rushed-lock lookahead's buffers: one pooled
+// clone, refreshed through sim.PartyCopier, and the inbox lanes it plays
+// through. They persist across Reset and are never shared:
+// CloneAdversary rebuilds from configuration.
+type rushedScratch struct {
+	clone   sim.Party
+	pending []sim.Message
+	lanes   [2][]sim.Message
 }
 
 var _ sim.Adversary = (*AbortAt)(nil)
@@ -115,16 +127,50 @@ func (a *AbortAt) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed [
 
 func (a *AbortAt) tryRushedLock(round int, rushed []sim.Message) {
 	last := a.ctx.Protocol.NumRounds() + 1
-	for _, id := range a.ids() {
-		pending := filterFor(id, rushed)
-		if len(pending) == 0 {
+	s := &a.la
+	for i, id := range a.held {
+		s.pending = s.pending[:0]
+		for _, m := range rushed {
+			if m.To == id || m.To == sim.Broadcast {
+				s.pending = append(s.pending, m)
+			}
+		}
+		if len(s.pending) == 0 {
 			continue
 		}
-		if v, ok := lookahead(a.machines[id], id, round+1, last, pending); ok {
+		if v, ok := s.lookahead(a.machines[i], id, round+1, last); ok {
 			a.learnedVal, a.learnedOK = v, true
 			return
 		}
 	}
+}
+
+// lookahead plays a copy of machine m (party id) forward from round
+// start through last on the pending inbox, assuming every other party
+// goes silent: afterwards it receives only its own broadcasts and
+// self-addressed messages (a party always hears its own broadcast). It
+// returns the copy's final output; m itself is never disturbed.
+func (s *rushedScratch) lookahead(m sim.Party, id sim.PartyID, start, last int) (sim.Value, bool) {
+	s.clone = copyMachine(s.clone, m)
+	inbox := s.pending
+	lane := 0
+	for r := start; r <= last; r++ {
+		out, err := s.clone.Round(r, inbox)
+		if err != nil {
+			return nil, false
+		}
+		next := s.lanes[lane][:0]
+		for _, msg := range out {
+			if msg.To == sim.Broadcast || msg.To == id {
+				msg.From = id
+				next = append(next, msg)
+			}
+		}
+		s.lanes[lane] = next
+		inbox = next
+		lane = 1 - lane
+	}
+	return s.clone.Output()
 }
 
 // SetupAbort corrupts a fixed set and aborts the protocol's hybrid setup

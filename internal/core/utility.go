@@ -37,6 +37,22 @@ func FixedInputsInto(vals ...sim.Value) InputSamplerInto {
 // ErrNoRuns is returned when a utility estimate is requested with runs<=0.
 var ErrNoRuns = errors.New("core: need at least one run")
 
+// MaxRounds bounds the message rounds of a protocol built from a request
+// (the service registry, sweep grids). Simulation and strategy-space
+// size grow with the round count, and the Gordon–Katz protocols' round
+// count grows with p (4p for poly-domain AND, 4p² for poly-range AND),
+// so an unbounded p in a short request could exhaust the host. The
+// largest p the experiments use is 8.
+const MaxRounds = 1024
+
+// CheckRounds rejects a protocol with more than MaxRounds message rounds.
+func CheckRounds(p sim.Protocol) error {
+	if r := p.NumRounds(); r > MaxRounds {
+		return fmt.Errorf("protocol %s has %d message rounds, above the bound of %d", p.Name(), r, MaxRounds)
+	}
+	return nil
+}
+
 // UtilityReport summarizes a Monte-Carlo utility estimation.
 type UtilityReport struct {
 	// Utility estimates u_A(Π, A) = Σ γ_ij · Pr[E_ij].

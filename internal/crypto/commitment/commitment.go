@@ -28,12 +28,33 @@ type Opening struct {
 
 // Commit produces a commitment to msg using randomness drawn from r.
 func Commit(r io.Reader, msg []byte) (Commitment, Opening, error) {
-	rnd := make([]byte, openingLen)
-	if _, err := io.ReadFull(r, rnd); err != nil {
-		return nil, Opening{}, fmt.Errorf("commitment: draw randomness: %w", err)
+	var c Commitment
+	var o Opening
+	if err := CommitInto(r, msg, &c, &o); err != nil {
+		return nil, Opening{}, err
 	}
-	msgCopy := append([]byte(nil), msg...)
-	return digest(rnd, msgCopy), Opening{Randomness: rnd, Message: msgCopy}, nil
+	return c, o, nil
+}
+
+// CommitInto is Commit writing into caller-owned buffers: the commitment
+// into *c and the opening into o's Randomness and Message, reusing their
+// capacity. It draws exactly the randomness Commit draws, so the two
+// produce the same commitment from identically seeded readers. msg is
+// copied, never retained.
+func CommitInto(r io.Reader, msg []byte, c *Commitment, o *Opening) error {
+	rnd := o.Randomness[:0]
+	if cap(rnd) < openingLen {
+		rnd = make([]byte, openingLen)
+	}
+	rnd = rnd[:openingLen]
+	if _, err := io.ReadFull(r, rnd); err != nil {
+		return fmt.Errorf("commitment: draw randomness: %w", err)
+	}
+	o.Randomness = rnd
+	o.Message = append(o.Message[:0], msg...)
+	sum := digest(rnd, o.Message)
+	*c = append((*c)[:0], sum[:]...)
+	return nil
 }
 
 // Verify reports whether the opening matches the commitment.
@@ -41,12 +62,15 @@ func Verify(c Commitment, o Opening) bool {
 	if len(o.Randomness) != openingLen {
 		return false
 	}
-	return bytes.Equal(c, digest(o.Randomness, o.Message))
+	sum := digest(o.Randomness, o.Message)
+	return bytes.Equal(c, sum[:])
 }
 
-func digest(rnd, msg []byte) Commitment {
-	h := sha256.New()
-	h.Write(rnd)
-	h.Write(msg)
-	return h.Sum(nil)
+// digest hashes rnd ‖ msg. Short messages (every message the contract
+// protocols commit to) are concatenated in a stack buffer, so hashing
+// allocates nothing.
+func digest(rnd, msg []byte) [sha256.Size]byte {
+	var buf [2 * openingLen]byte
+	b := append(append(buf[:0], rnd...), msg...)
+	return sha256.Sum256(b)
 }

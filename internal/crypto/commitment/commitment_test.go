@@ -123,3 +123,48 @@ func BenchmarkCommit(b *testing.B) {
 		}
 	}
 }
+
+func TestCommitIntoMatchesCommit(t *testing.T) {
+	for _, msg := range [][]byte{nil, []byte("x"), []byte("eight by"), bytes.Repeat([]byte("long"), 40)} {
+		c, o, err := Commit(rand.New(rand.NewSource(8)), msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Reuse buffers that already hold another commitment.
+		var c2 Commitment
+		var o2 Opening
+		if err := CommitInto(rand.New(rand.NewSource(9)), []byte("previous"), &c2, &o2); err != nil {
+			t.Fatal(err)
+		}
+		if err := CommitInto(rand.New(rand.NewSource(8)), msg, &c2, &o2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c, c2) || !bytes.Equal(o.Randomness, o2.Randomness) || !bytes.Equal(o.Message, o2.Message) {
+			t.Fatalf("CommitInto(%q) differs from Commit", msg)
+		}
+		if !Verify(c2, o2) {
+			t.Fatalf("CommitInto(%q) opening rejected", msg)
+		}
+	}
+}
+
+func TestCommitIntoAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	var c Commitment
+	var o Opening
+	msg := []byte("contract")
+	if err := CommitInto(rng, msg, &c, &o); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := CommitInto(rng, msg, &c, &o); err != nil {
+			t.Fatal(err)
+		}
+		if !Verify(c, o) {
+			t.Fatal("opening rejected")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CommitInto+Verify on reused buffers allocates %.1f times, want 0", allocs)
+	}
+}

@@ -17,9 +17,14 @@
 //
 // Inputs are modeled as uint64 contract signatures; the (global) output
 // is the pair of both signatures.
+//
+// Both machines implement sim.ReusableParty and sim.PartyCopier and send
+// through machine-owned payload cells, so the estimation hot path runs
+// them without allocating machines, commitments or messages.
 package contract
 
 import (
+	"encoding/binary"
 	"math/rand"
 
 	"repro/internal/crypto/commitment"
@@ -42,12 +47,35 @@ type openMsg struct {
 	Opening commitment.Opening
 }
 
-// encodeSig serializes a signature for committing.
+// asCommitMsg unwraps a commitment payload, delivered as a pointer into
+// the sender's payload cell (the hot path) or by value (hand-built
+// messages, gob decodes).
+func asCommitMsg(payload any) (commitMsg, bool) {
+	switch m := payload.(type) {
+	case *commitMsg:
+		return *m, true
+	case commitMsg:
+		return m, true
+	}
+	return commitMsg{}, false
+}
+
+// asOpenMsg unwraps an opening payload, by pointer or by value.
+func asOpenMsg(payload any) (openMsg, bool) {
+	switch m := payload.(type) {
+	case *openMsg:
+		return *m, true
+	case openMsg:
+		return m, true
+	}
+	return openMsg{}, false
+}
+
+// encodeSig serializes a signature for committing. It inlines, so the
+// buffer stays on the caller's stack.
 func encodeSig(s uint64) []byte {
 	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(s >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b, s)
 	return b
 }
 
@@ -55,11 +83,13 @@ func decodeSig(b []byte) (uint64, bool) {
 	if len(b) != 8 {
 		return 0, false
 	}
-	var s uint64
-	for i := 0; i < 8; i++ {
-		s |= uint64(b[i]) << (8 * i)
-	}
-	return s, true
+	return binary.LittleEndian.Uint64(b), true
+}
+
+// copyOpening overwrites dst with src, reusing dst's buffers.
+func copyOpening(dst *commitment.Opening, src commitment.Opening) {
+	dst.Randomness = append(dst.Randomness[:0], src.Randomness...)
+	dst.Message = append(dst.Message[:0], src.Message...)
 }
 
 // pairFunc is the shared ideal function of Π1 and Π2.
@@ -97,12 +127,11 @@ func (Pi1) Setup([]sim.Value, *rand.Rand) ([]sim.Value, error) { return nil, nil
 // NewParty implements sim.Protocol. All randomness (the commitment) is
 // drawn here so Round is deterministic and Clone-safe.
 func (Pi1) NewParty(id sim.PartyID, input sim.Value, _ sim.Value, _ bool, rng *rand.Rand) (sim.Party, error) {
-	sig, _ := input.(uint64)
-	c, o, err := commitment.Commit(rng, encodeSig(sig))
-	if err != nil {
+	p := &pi1Party{}
+	if err := p.init(id, input, rng); err != nil {
 		return nil, err
 	}
-	return &pi1Party{id: id, sig: sig, commit: c, opening: o}, nil
+	return p, nil
 }
 
 type pi1Party struct {
@@ -114,9 +143,83 @@ type pi1Party struct {
 	result  Pair
 	done    bool
 	failed  bool
+	// outBox caches a boxed result, and boxed the value it holds.
+	// Output boxes only when the result differs from boxed, so
+	// repeated lookaheads reaching the same result share one box.
+	outBox sim.Value
+	boxed  Pair
+
+	// Message scratch. p1 sends in rounds 1 and 2, so each message has
+	// its own payload cell: a cell is rewritten only after its receiver
+	// has read it. The returned slice and the payload pointers are
+	// machine-owned, per the Party contract.
+	commitCell commitMsg
+	openCell   openMsg
+	msgs       [1]sim.Message
+}
+
+var (
+	_ sim.ReusableParty = (*pi1Party)(nil)
+	_ sim.PartyCopier   = (*pi1Party)(nil)
+)
+
+// init configures the machine for a run, reusing its buffers. It draws
+// exactly what NewParty draws: the contract commitment.
+func (p *pi1Party) init(id sim.PartyID, input sim.Value, rng *rand.Rand) error {
+	sig, _ := input.(uint64)
+	if err := commitment.CommitInto(rng, encodeSig(sig), &p.commit, &p.opening); err != nil {
+		return err
+	}
+	p.id, p.sig = id, sig
+	p.theirC = p.theirC[:0]
+	p.result, p.done, p.failed = Pair{}, false, false
+	return nil
+}
+
+// Reinit implements sim.ReusableParty.
+func (p *pi1Party) Reinit(id sim.PartyID, input sim.Value, _ sim.Value, _ bool, rng *rand.Rand) bool {
+	return p.init(id, input, rng) == nil
+}
+
+// CopyFrom implements sim.PartyCopier: a deep copy into the receiver's
+// own buffers.
+func (p *pi1Party) CopyFrom(src sim.Party) bool {
+	s, ok := src.(*pi1Party)
+	if !ok {
+		return false
+	}
+	if s == p {
+		return true
+	}
+	commit, opening, theirC := p.commit, p.opening, p.theirC
+	box, boxed := p.outBox, p.boxed
+	*p = *s
+	if p.outBox == nil {
+		p.outBox, p.boxed = box, boxed // keep the receiver's box cache
+	}
+	p.commit = append(commit[:0], s.commit...)
+	p.opening = opening
+	copyOpening(&p.opening, s.opening)
+	p.theirC = append(theirC[:0], s.theirC...)
+	return true
 }
 
 func (p *pi1Party) other() sim.PartyID { return sim.PartyID(3 - int(p.id)) }
+
+// send returns the single outgoing message carrying payload.
+func (p *pi1Party) send(payload any) []sim.Message {
+	p.msgs[0] = sim.Message{From: p.id, To: p.other(), Payload: payload}
+	return p.msgs[:]
+}
+
+func (p *pi1Party) sendOpening() []sim.Message {
+	p.openCell = openMsg{Opening: p.opening}
+	return p.send(&p.openCell)
+}
+
+func (p *pi1Party) setResult(r Pair) {
+	p.result, p.done = r, true
+}
 
 func (p *pi1Party) Round(round int, inbox []sim.Message) ([]sim.Message, error) {
 	if p.failed {
@@ -124,7 +227,8 @@ func (p *pi1Party) Round(round int, inbox []sim.Message) ([]sim.Message, error) 
 	}
 	switch round {
 	case 1:
-		return []sim.Message{{From: p.id, To: p.other(), Payload: commitMsg{Contract: p.commit}}}, nil
+		p.commitCell = commitMsg{Contract: p.commit}
+		return p.send(&p.commitCell), nil
 	case 2:
 		// Both receive the counterparty's commitment; p1 opens.
 		if !p.recvCommit(inbox) {
@@ -132,7 +236,7 @@ func (p *pi1Party) Round(round int, inbox []sim.Message) ([]sim.Message, error) 
 			return nil, nil
 		}
 		if p.id == 1 {
-			return []sim.Message{{From: p.id, To: p.other(), Payload: openMsg{Opening: p.opening}}}, nil
+			return p.sendOpening(), nil
 		}
 	case 3:
 		// p2 verifies p1's opening and, if valid, opens in return.
@@ -142,8 +246,8 @@ func (p *pi1Party) Round(round int, inbox []sim.Message) ([]sim.Message, error) 
 				p.failed = true
 				return nil, nil
 			}
-			p.result, p.done = Pair{S1: s1, S2: p.sig}, true
-			return []sim.Message{{From: p.id, To: p.other(), Payload: openMsg{Opening: p.opening}}}, nil
+			p.setResult(Pair{S1: s1, S2: p.sig})
+			return p.sendOpening(), nil
 		}
 	case 4:
 		// p1 verifies p2's opening.
@@ -153,7 +257,7 @@ func (p *pi1Party) Round(round int, inbox []sim.Message) ([]sim.Message, error) 
 				p.failed = true
 				return nil, nil
 			}
-			p.result, p.done = Pair{S1: p.sig, S2: s2}, true
+			p.setResult(Pair{S1: p.sig, S2: s2})
 		}
 	}
 	return nil, nil
@@ -161,8 +265,8 @@ func (p *pi1Party) Round(round int, inbox []sim.Message) ([]sim.Message, error) 
 
 func (p *pi1Party) recvCommit(inbox []sim.Message) bool {
 	for _, m := range inbox {
-		if cm, ok := m.Payload.(commitMsg); ok && m.From == p.other() {
-			p.theirC = cm.Contract
+		if cm, ok := asCommitMsg(m.Payload); ok && m.From == p.other() {
+			p.theirC = append(p.theirC[:0], cm.Contract...)
 			return true
 		}
 	}
@@ -171,7 +275,7 @@ func (p *pi1Party) recvCommit(inbox []sim.Message) bool {
 
 func (p *pi1Party) recvOpening(inbox []sim.Message) (uint64, bool) {
 	for _, m := range inbox {
-		om, ok := m.Payload.(openMsg)
+		om, ok := asOpenMsg(m.Payload)
 		if !ok || m.From != p.other() {
 			continue
 		}
@@ -187,7 +291,14 @@ func (p *pi1Party) Output() (sim.Value, bool) {
 	if !p.done {
 		return nil, false
 	}
-	return p.result, true
+	if p.outBox == nil || p.boxed != p.result {
+		p.outBox, p.boxed = p.result, p.result
+	}
+	return p.outBox, true
 }
 
-func (p *pi1Party) Clone() sim.Party { cp := *p; return &cp }
+func (p *pi1Party) Clone() sim.Party {
+	cp := &pi1Party{}
+	cp.CopyFrom(p)
+	return cp
+}

@@ -176,7 +176,7 @@ func (c *coinCheater) Act(round int, inboxes map[sim.PartyID][]sim.Message, rush
 		return out
 	}
 	for i := range out {
-		om, ok := out[i].Payload.(openMsg)
+		om, ok := asOpenMsg(out[i].Payload)
 		if !ok {
 			continue
 		}

@@ -3,6 +3,7 @@ package gordonkatz
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/crypto/share"
@@ -36,19 +37,22 @@ type Protocol struct {
 }
 
 var (
-	_ sim.Protocol       = Protocol{}
-	_ sim.OutcomeAuditor = Protocol{}
+	_ sim.Protocol             = Protocol{}
+	_ sim.OutcomeAuditor       = Protocol{}
+	_ sim.ScratchSetupProtocol = Protocol{}
 )
 
-// ErrBadParam is returned for nonsensical parameters.
-var ErrBadParam = errors.New("gordonkatz: p must be ≥ 1")
+// ErrBadParam is returned for nonsensical parameters: p < 1, or a p so
+// large that the protocol's round count overflows an int.
+var ErrBadParam = errors.New("gordonkatz: p out of range")
 
 // NewPolyDomain builds the [GK10] §3.2 protocol: r = p·|Y| iterations.
 func NewPolyDomain(fn TwoPartyFn, p int) (Protocol, error) {
 	if err := fn.Validate(); err != nil {
 		return Protocol{}, err
 	}
-	if p < 1 {
+	// NumRounds is 2r = 2p·|Y|.
+	if p < 1 || p > math.MaxInt/2/len(fn.YDomain) {
 		return Protocol{}, ErrBadParam
 	}
 	return Protocol{Fn: fn, P: p, Iterations: p * len(fn.YDomain), mode: fakeByDomain}, nil
@@ -59,11 +63,12 @@ func NewPolyRange(fn TwoPartyFn, p int) (Protocol, error) {
 	if err := fn.Validate(); err != nil {
 		return Protocol{}, err
 	}
-	if p < 1 {
-		return Protocol{}, ErrBadParam
-	}
 	if len(fn.Range) == 0 {
 		return Protocol{}, fmt.Errorf("gordonkatz: %s: empty range", fn.Name)
+	}
+	// NumRounds is 2r = 2p²·|Z|.
+	if p < 1 || p > math.MaxInt/2/len(fn.Range)/p {
+		return Protocol{}, ErrBadParam
 	}
 	return Protocol{Fn: fn, P: p, Iterations: p * p * len(fn.Range), mode: fakeByRange}, nil
 }
@@ -113,16 +118,28 @@ type gkAudit struct {
 
 // Setup implements sim.Protocol: the ShareGen functionality.
 func (p Protocol) Setup(inputs []sim.Value, rng *rand.Rand) ([]sim.Value, error) {
+	var out1, out2 gkSetupOut
+	istar, err := p.shareGen(inputs, rng, &out1, &out2)
+	if err != nil {
+		return nil, err
+	}
+	return []sim.Value{out1, out2, gkAudit{IStar: istar}}, nil
+}
+
+// shareGen is the shared body of Setup and the scratch evaluator: draw
+// the switch round i* and deal the r value pairs into out1 and out2,
+// reusing their share slices. It returns i*.
+func (p Protocol) shareGen(inputs []sim.Value, rng *rand.Rand, out1, out2 *gkSetupOut) (int, error) {
 	x, _ := inputs[0].(uint64)
 	y, _ := inputs[1].(uint64)
 	real := p.Fn.Eval(x, y)
 	if real >= field.Modulus {
-		return nil, fmt.Errorf("gordonkatz: output %d exceeds field", real)
+		return 0, fmt.Errorf("gordonkatz: output %d exceeds field", real)
 	}
 	istar := 1 + rng.Intn(p.Iterations)
 
-	out1 := gkSetupOut{}
-	out2 := gkSetupOut{}
+	out1.Mine, out1.Theirs = out1.Mine[:0], out1.Theirs[:0]
+	out2.Mine, out2.Theirs = out2.Mine[:0], out2.Theirs[:0]
 	for i := 1; i <= p.Iterations; i++ {
 		ai, bi := real, real
 		if i < istar {
@@ -130,11 +147,11 @@ func (p Protocol) Setup(inputs []sim.Value, rng *rand.Rand) ([]sim.Value, error)
 		}
 		a1, a2, err := share.AuthDeal(rng, field.Element(ai))
 		if err != nil {
-			return nil, fmt.Errorf("gordonkatz: setup: %w", err)
+			return 0, fmt.Errorf("gordonkatz: setup: %w", err)
 		}
 		b1, b2, err := share.AuthDeal(rng, field.Element(bi))
 		if err != nil {
-			return nil, fmt.Errorf("gordonkatz: setup: %w", err)
+			return 0, fmt.Errorf("gordonkatz: setup: %w", err)
 		}
 		// p1 reconstructs the a-sequence and opens the b-sequence.
 		out1.Mine = append(out1.Mine, a1)
@@ -143,7 +160,37 @@ func (p Protocol) Setup(inputs []sim.Value, rng *rand.Rand) ([]sim.Value, error)
 		out2.Mine = append(out2.Mine, b2)
 		out2.Theirs = append(out2.Theirs, a2)
 	}
-	return []sim.Value{out1, out2, gkAudit{IStar: istar}}, nil
+	return istar, nil
+}
+
+// NewSetupScratch implements sim.ScratchSetupProtocol: a ShareGen
+// evaluator whose output slice, setup cells and four share slices are
+// reused across runs. The cells are boxed as pointers once; the audit
+// stays a gkAudit value (AuditOutcome and trace comparisons read it by
+// value, and boxing it allocates nothing while i* < 256).
+func (p Protocol) NewSetupScratch() func([]sim.Value, *rand.Rand) ([]sim.Value, error) {
+	var cells [2]gkSetupOut
+	outs := []sim.Value{&cells[0], &cells[1], nil}
+	return func(inputs []sim.Value, rng *rand.Rand) ([]sim.Value, error) {
+		istar, err := p.shareGen(inputs, rng, &cells[0], &cells[1])
+		if err != nil {
+			return nil, err
+		}
+		outs[2] = gkAudit{IStar: istar}
+		return outs, nil
+	}
+}
+
+// asSetupOut unwraps a ShareGen output delivered either by value (plain
+// Setup) or as a pointer into scratch (NewSetupScratch).
+func asSetupOut(v sim.Value) (gkSetupOut, bool) {
+	switch s := v.(type) {
+	case gkSetupOut:
+		return s, true
+	case *gkSetupOut:
+		return *s, true
+	}
+	return gkSetupOut{}, false
 }
 
 // fakePair draws the pre-switch values per the protocol variant.
@@ -162,19 +209,9 @@ func (p Protocol) fakePair(x, y uint64, rng *rand.Rand) (uint64, uint64) {
 // when the counterparty aborts before any reconstruction) is pre-drawn
 // here from the distribution Y_i(x_i) of Appendix C.2.
 func (p Protocol) NewParty(id sim.PartyID, input sim.Value, out sim.Value, aborted bool, rng *rand.Rand) (sim.Party, error) {
-	x, _ := input.(uint64)
-	a, b := p.fakePair(x, x, rng) // only the own-input side is used below
-	replacement := a
-	if id == 2 {
-		replacement = b
-	}
-	m := &gkParty{id: id, input: x, fn: p.Fn, iters: p.Iterations, setupAborted: aborted, replacement: replacement}
-	if !aborted {
-		so, ok := out.(gkSetupOut)
-		if !ok {
-			return nil, fmt.Errorf("gordonkatz: party %d: bad setup output %T", id, out)
-		}
-		m.setup = so
+	m := &gkParty{}
+	if err := m.init(p, id, input, out, aborted, rng); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -182,12 +219,15 @@ func (p Protocol) NewParty(id sim.PartyID, input sim.Value, out sim.Value, abort
 // gkParty is one Gordon–Katz machine. It also serves, with a round
 // offset, as the second stage of the leaky protocol Π̃.
 type gkParty struct {
+	// proto is the machine's protocol: Reinit redraws the replacement
+	// value through it.
+	proto        Protocol
 	id           sim.PartyID
 	input        uint64
-	fn           TwoPartyFn
-	iters        int
 	setupAborted bool
-	setup        gkSetupOut
+	// setup aliases the ShareGen output, which the engine keeps valid
+	// for the whole run; the machine only reads it.
+	setup gkSetupOut
 	// offset shifts the engine round numbering (used by Π̃).
 	offset int
 	// replacement is the pre-drawn F_sfe^$ random-replacement value.
@@ -197,6 +237,55 @@ type gkParty struct {
 	lastVal  uint64 // its value
 	done     bool   // terminated (abort or completion)
 	failed   bool   // counterpart aborted
+
+	// Message scratch. A party sends every other engine round, and each
+	// opening is read in the round after it is sent, so one payload cell
+	// suffices. The returned slice and the payload pointer are
+	// machine-owned, per the Party contract.
+	open gkOpen
+	msgs [1]sim.Message
+}
+
+var (
+	_ sim.ReusableParty = (*gkParty)(nil)
+	_ sim.PartyCopier   = (*gkParty)(nil)
+)
+
+// init configures the machine for a run of p. It draws exactly what
+// NewParty draws: one fakePair for the replacement value.
+func (m *gkParty) init(p Protocol, id sim.PartyID, input sim.Value, out sim.Value, aborted bool, rng *rand.Rand) error {
+	x, _ := input.(uint64)
+	a, b := p.fakePair(x, x, rng) // only the own-input side is used below
+	replacement := a
+	if id == 2 {
+		replacement = b
+	}
+	*m = gkParty{proto: p, id: id, input: x, setupAborted: aborted, replacement: replacement}
+	if !aborted {
+		so, ok := asSetupOut(out)
+		if !ok {
+			return fmt.Errorf("gordonkatz: party %d: bad setup output %T", id, out)
+		}
+		m.setup = so
+	}
+	return nil
+}
+
+// Reinit implements sim.ReusableParty.
+func (m *gkParty) Reinit(id sim.PartyID, input sim.Value, out sim.Value, aborted bool, rng *rand.Rand) bool {
+	return m.init(m.proto, id, input, out, aborted, rng) == nil
+}
+
+// CopyFrom implements sim.PartyCopier. The share slices are shared, not
+// copied: no machine writes them, and the engine keeps them valid for
+// the run.
+func (m *gkParty) CopyFrom(src sim.Party) bool {
+	s, ok := src.(*gkParty)
+	if !ok {
+		return false
+	}
+	*m = *s
+	return true
 }
 
 var _ sim.AuditedParty = (*gkParty)(nil)
@@ -209,10 +298,11 @@ func (m *gkParty) other() sim.PartyID { return sim.PartyID(3 - int(m.id)) }
 // matching the simulator that substitutes the default input).
 func (m *gkParty) fallbackOutput() uint64 {
 	if m.setupAborted {
+		fn := &m.proto.Fn
 		if m.id == 1 {
-			return m.fn.Eval(m.input, m.fn.Default2)
+			return fn.Eval(m.input, fn.Default2)
 		}
-		return m.fn.Eval(m.fn.Default1, m.input)
+		return fn.Eval(fn.Default1, m.input)
 	}
 	return m.replacement
 }
@@ -225,7 +315,7 @@ func (m *gkParty) Round(round int, inbox []sim.Message) ([]sim.Message, error) {
 		return nil, nil
 	}
 	r := round - m.offset
-	if r < 1 || m.failed || m.done && r > 2*m.iters {
+	if r < 1 || m.failed || m.done && r > 2*m.proto.Iterations {
 		return nil, nil
 	}
 	odd := r%2 == 1
@@ -238,12 +328,12 @@ func (m *gkParty) Round(round int, inbox []sim.Message) ([]sim.Message, error) {
 			m.abort()
 			return nil, nil
 		}
-		if iter > m.iters {
+		if iter > m.proto.Iterations {
 			// Past the last iteration: the final reconstruct concluded.
 			m.done = true
 			return nil, nil
 		}
-		return []sim.Message{{From: m.id, To: m.other(), Payload: gkOpen{Iter: iter, Open: m.setup.Theirs[iter-1].Open()}}}, nil
+		return m.openIter(iter), nil
 	}
 	if m.id == 1 && !odd {
 		// p1: reconstruct a_iter (sent by p2 last round), then open
@@ -252,12 +342,19 @@ func (m *gkParty) Round(round int, inbox []sim.Message) ([]sim.Message, error) {
 			m.abort()
 			return nil, nil
 		}
-		if iter == m.iters {
+		if iter == m.proto.Iterations {
 			m.done = true
 		}
-		return []sim.Message{{From: m.id, To: m.other(), Payload: gkOpen{Iter: iter, Open: m.setup.Theirs[iter-1].Open()}}}, nil
+		return m.openIter(iter), nil
 	}
 	return nil, nil
+}
+
+// openIter prepares the opening of the counterparty's iter-th value.
+func (m *gkParty) openIter(iter int) []sim.Message {
+	m.open = gkOpen{Iter: iter, Open: m.setup.Theirs[iter-1].Open()}
+	m.msgs[0] = sim.Message{From: m.id, To: m.other(), Payload: &m.open}
+	return m.msgs[:]
 }
 
 // gkOpen is an iteration opening.
@@ -266,9 +363,22 @@ type gkOpen struct {
 	Open share.OpenMsg
 }
 
+// asOpen unwraps an iteration opening, delivered as a pointer into the
+// sender's payload cell (the hot path) or by value (hand-built messages,
+// gob decodes).
+func asOpen(payload any) (gkOpen, bool) {
+	switch o := payload.(type) {
+	case *gkOpen:
+		return *o, true
+	case gkOpen:
+		return o, true
+	}
+	return gkOpen{}, false
+}
+
 func (m *gkParty) reconstruct(iter int, inbox []sim.Message) bool {
 	for _, msg := range inbox {
-		op, ok := msg.Payload.(gkOpen)
+		op, ok := asOpen(msg.Payload)
 		if !ok || msg.From != m.other() || op.Iter != iter {
 			continue
 		}

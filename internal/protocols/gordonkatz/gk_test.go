@@ -1,6 +1,7 @@
 package gordonkatz
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -55,6 +56,17 @@ func TestPolyDomainParamErrors(t *testing.T) {
 	bad.Range = nil
 	if _, err := NewPolyRange(bad, 2); err == nil {
 		t.Error("empty range accepted")
+	}
+	// A p whose round count overflows an int (p = 2^62 wraps p²·|Z| to
+	// 0 iterations) is refused, not built with a wrapped round count.
+	if _, err := NewPolyDomain(AND(), 1<<62); !errors.Is(err, ErrBadParam) {
+		t.Errorf("polydomain p=2^62: err = %v, want ErrBadParam", err)
+	}
+	if _, err := NewPolyRange(AND(), 1<<62); !errors.Is(err, ErrBadParam) {
+		t.Errorf("polyrange p=2^62: err = %v, want ErrBadParam", err)
+	}
+	if _, err := NewPolyRange(AND(), 1<<30); err != nil {
+		t.Errorf("polyrange p=2^30 fits an int: %v", err)
 	}
 }
 

@@ -7,6 +7,11 @@ import "encoding/gob"
 // over the transport package's TCP sessions. Safe to call multiple
 // times.
 func RegisterGobTypes() {
+	// Pointer payloads and setup outputs (*gkOpen, *leakMsg,
+	// *gkSetupOut — the machines' payload cells and the ShareGen
+	// scratch) need no extra registration: gob flattens indirections,
+	// transmitting and decoding them as the value types below, which the
+	// receivers accept either way.
 	gob.Register(gkSetupOut{})
 	gob.Register(gkOpen{})
 	gob.Register(leakMsg{})

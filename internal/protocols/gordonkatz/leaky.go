@@ -1,7 +1,6 @@
 package gordonkatz
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/sim"
@@ -26,8 +25,9 @@ type Pitilde struct {
 }
 
 var (
-	_ sim.Protocol       = Pitilde{}
-	_ sim.OutcomeAuditor = Pitilde{}
+	_ sim.Protocol             = Pitilde{}
+	_ sim.OutcomeAuditor       = Pitilde{}
+	_ sim.ScratchSetupProtocol = Pitilde{}
 )
 
 // leakOffset is the number of leak-phase rounds before the embedded
@@ -64,6 +64,12 @@ func (p Pitilde) Setup(inputs []sim.Value, rng *rand.Rand) ([]sim.Value, error) 
 	return p.gk.Setup(inputs, rng)
 }
 
+// NewSetupScratch implements sim.ScratchSetupProtocol with the embedded
+// protocol's ShareGen scratch.
+func (p Pitilde) NewSetupScratch() func([]sim.Value, *rand.Rand) ([]sim.Value, error) {
+	return p.gk.NewSetupScratch()
+}
+
 // AuditOutcome implements sim.OutcomeAuditor, delegating to the embedded
 // protocol (the leak phase releases an input, not the output).
 func (p Pitilde) AuditOutcome(tr *sim.Trace) sim.OutcomeAudit { return p.gk.AuditOutcome(tr) }
@@ -80,17 +86,11 @@ type leakMsg struct {
 
 // NewParty implements sim.Protocol. p1's biased coin is drawn here.
 func (p Pitilde) NewParty(id sim.PartyID, input sim.Value, out sim.Value, aborted bool, rng *rand.Rand) (sim.Party, error) {
-	inner, err := p.gk.NewParty(id, input, out, aborted, rng)
-	if err != nil {
+	m := &pitildeParty{inner: &gkParty{}}
+	if err := m.init(p.gk, id, input, out, aborted, rng); err != nil {
 		return nil, err
 	}
-	gp, ok := inner.(*gkParty)
-	if !ok {
-		return nil, fmt.Errorf("gordonkatz: unexpected inner machine %T", inner)
-	}
-	gp.offset = leakOffset
-	x, _ := input.(uint64)
-	return &pitildeParty{id: id, input: x, coinLeaks: rng.Intn(4) == 0, inner: gp}, nil
+	return m, nil
 }
 
 type pitildeParty struct {
@@ -99,27 +99,91 @@ type pitildeParty struct {
 	coinLeaks bool // Pr 1/4
 	sawOneBit bool
 	inner     *gkParty
+
+	// Message scratch: one leak-phase message per party (p2 in round 1,
+	// p1 in round 2), each with its own payload cell.
+	leak leakMsg
+	msgs [1]sim.Message
+}
+
+var (
+	_ sim.ReusableParty = (*pitildeParty)(nil)
+	_ sim.PartyCopier   = (*pitildeParty)(nil)
+)
+
+// init configures the machine for a run of Π̃ embedding gk. It draws
+// exactly what NewParty draws: the inner machine's replacement value,
+// then p1's biased coin.
+func (m *pitildeParty) init(gk Protocol, id sim.PartyID, input sim.Value, out sim.Value, aborted bool, rng *rand.Rand) error {
+	if err := m.inner.init(gk, id, input, out, aborted, rng); err != nil {
+		return err
+	}
+	m.inner.offset = leakOffset
+	x, _ := input.(uint64)
+	m.id, m.input, m.coinLeaks, m.sawOneBit = id, x, rng.Intn(4) == 0, false
+	return nil
+}
+
+// Reinit implements sim.ReusableParty, reinitializing the inner machine
+// in place.
+func (m *pitildeParty) Reinit(id sim.PartyID, input sim.Value, out sim.Value, aborted bool, rng *rand.Rand) bool {
+	return m.init(m.inner.proto, id, input, out, aborted, rng) == nil
+}
+
+// CopyFrom implements sim.PartyCopier, copying the inner machine into
+// the receiver's own.
+func (m *pitildeParty) CopyFrom(src sim.Party) bool {
+	s, ok := src.(*pitildeParty)
+	if !ok {
+		return false
+	}
+	if s == m {
+		return true
+	}
+	inner := m.inner
+	*m = *s
+	m.inner = inner
+	return m.inner.CopyFrom(s.inner)
+}
+
+// send returns the single leak-phase message.
+func (m *pitildeParty) send(to sim.PartyID, lm leakMsg) []sim.Message {
+	m.leak = lm
+	m.msgs[0] = sim.Message{From: m.id, To: to, Payload: &m.leak}
+	return m.msgs[:]
+}
+
+// asLeakMsg unwraps a leak-phase payload, by pointer (a machine's
+// payload cell) or by value (the extractor's deviation, gob decodes).
+func asLeakMsg(payload any) (leakMsg, bool) {
+	switch lm := payload.(type) {
+	case *leakMsg:
+		return *lm, true
+	case leakMsg:
+		return lm, true
+	}
+	return leakMsg{}, false
 }
 
 func (m *pitildeParty) Round(round int, inbox []sim.Message) ([]sim.Message, error) {
 	switch round {
 	case 1:
 		if m.id == 2 {
-			return []sim.Message{{From: 2, To: 1, Payload: leakMsg{Bit: 0}}}, nil
+			return m.send(1, leakMsg{Bit: 0}), nil
 		}
 		return nil, nil
 	case 2:
 		if m.id == 1 {
 			for _, msg := range inbox {
-				if lm, ok := msg.Payload.(leakMsg); ok && msg.From == 2 && lm.Bit == 1 {
+				if lm, ok := asLeakMsg(msg.Payload); ok && msg.From == 2 && lm.Bit == 1 {
 					m.sawOneBit = true
 				}
 			}
 			if m.sawOneBit && m.coinLeaks {
-				return []sim.Message{{From: 1, To: 2, Payload: leakMsg{HasInput: true, Input: m.input}}}, nil
+				return m.send(2, leakMsg{HasInput: true, Input: m.input}), nil
 			}
 			if m.sawOneBit {
-				return []sim.Message{{From: 1, To: 2, Payload: leakMsg{}}}, nil
+				return m.send(2, leakMsg{}), nil
 			}
 		}
 		return nil, nil
@@ -192,7 +256,7 @@ func (l *LeakExtractor) OnCorrupt(_ sim.PartyID, m sim.Party, _ sim.Value) { l.m
 func (l *LeakExtractor) Act(round int, inboxes map[sim.PartyID][]sim.Message, _ []sim.Message) []sim.Message {
 	// Watch for the leaked input.
 	for _, msg := range inboxes[2] {
-		if lm, ok := msg.Payload.(leakMsg); ok && lm.HasInput {
+		if lm, ok := asLeakMsg(msg.Payload); ok && lm.HasInput {
 			l.extracted, l.hasInput = lm.Input, true
 		}
 	}

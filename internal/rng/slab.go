@@ -66,8 +66,20 @@ type chain struct {
 	i          int
 }
 
+// chainStart[i] is 48271^(21+3i) mod 2³¹−1, the jump to the first
+// warm-up step of state word i, so starting a chain costs one
+// multiply-mod instead of an exponentiation per stream reseed.
+var chainStart = func() (t [rngLen]uint64) {
+	x := lehmerPow(21)
+	for i := range t {
+		t[i] = x
+		x = x * a3 % int32max
+	}
+	return t
+}()
+
 func newChain(seed int64, lo int) chain {
-	x1 := normSeed(seed) * lehmerPow(21+3*lo) % int32max
+	x1 := normSeed(seed) * chainStart[lo] % int32max
 	x2 := x1 * a1 % int32max
 	x3 := x2 * a1 % int32max
 	return chain{x1: x1, x2: x2, x3: x3, i: lo}

@@ -41,7 +41,21 @@ import (
 // Protocols: pi1, pi2, 2sfe-opt, 2sfe-fixed2, 2sfe-oneround,
 // nsfe-opt:N, nsfe-gmw12:N, nsfe-lemma18:N, nsfe-hybrid:N,
 // gk-polydomain:P, gk-polyrange:P, gk-pitilde.
+//
+// A protocol with more than core.MaxRounds message rounds is rejected:
+// for gk-polydomain that is P > 256, for gk-polyrange P > 16.
 func BuildProtocol(name string) (sim.Protocol, core.InputSampler, error) {
+	p, sampler, err := buildProtocol(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := core.CheckRounds(p); err != nil {
+		return nil, nil, err
+	}
+	return p, sampler, nil
+}
+
+func buildProtocol(name string) (sim.Protocol, core.InputSampler, error) {
 	base, arg, _ := strings.Cut(name, ":")
 	n := 0
 	if arg != "" {

@@ -1,6 +1,14 @@
 package service
 
-import "testing"
+import (
+	"errors"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/protocols/gordonkatz"
+)
 
 func TestBuildProtocolAll(t *testing.T) {
 	names := []string{
@@ -50,6 +58,54 @@ func TestBuildAdversaryErrors(t *testing.T) {
 	for _, name := range []string{"bogus", "lock-abort", "lock-abort:x", "abort:1", "abort:x:1", "abort:1:y"} {
 		if _, err := BuildAdversary(name, 3); err == nil {
 			t.Errorf("BuildAdversary(%q) succeeded", name)
+		}
+	}
+}
+
+// TestBuildProtocolRoundBound pins the request-size bound: a protocol
+// with more than core.MaxRounds message rounds is rejected with an error
+// naming the bound, before anything proportional to its size is built
+// (gk-polyrange:2000 would have 16 million rounds), while every size the
+// experiments use still validates.
+func TestBuildProtocolRoundBound(t *testing.T) {
+	for _, name := range []string{"gk-polydomain:8", "gk-polyrange:3", "gk-polydomain:256", "gk-polyrange:16"} {
+		p, _, err := BuildProtocol(name)
+		if err != nil {
+			t.Errorf("BuildProtocol(%q): %v", name, err)
+			continue
+		}
+		if r := p.NumRounds(); r > core.MaxRounds {
+			t.Errorf("BuildProtocol(%q) accepted %d rounds", name, r)
+		}
+	}
+	bound := strconv.Itoa(core.MaxRounds)
+	for _, name := range []string{"gk-polydomain:257", "gk-polyrange:17", "gk-polyrange:2000",
+		"gk-polydomain:1000000"} {
+		_, _, err := BuildProtocol(name)
+		if err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("BuildProtocol(%q) error = %v, want one naming the bound %s", name, err, bound)
+		}
+	}
+	// p = 2^62: p²·|Z| wraps to 0 iterations, which would pass the round
+	// bound; the constructor refuses the overflow.
+	if _, _, err := BuildProtocol("gk-polyrange:4611686018427387904"); !errors.Is(err, gordonkatz.ErrBadParam) {
+		t.Errorf("BuildProtocol(gk-polyrange:2^62) error = %v, want %v", err, gordonkatz.ErrBadParam)
+	}
+	for _, p := range []Params{
+		SearchParams{Proto: "gk-polyrange:2000"},
+		EstimateParams{Proto: "gk-polydomain:1000000", Adv: "agen", Runs: 1},
+		SupParams{Proto: "gk-polyrange:17", Advs: []string{"agen"}, Runs: 1},
+	} {
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("%T.Validate() error = %v, want one naming the bound %s", p, err, bound)
+		}
+	}
+	for _, p := range []Params{
+		SearchParams{Proto: "gk-polydomain:8"},
+		SearchParams{Proto: "gk-polyrange:3"},
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v.Validate(): %v", p, err)
 		}
 	}
 }

@@ -156,6 +156,8 @@ type Execution struct {
 	adv     Adversary
 	backend PartyBackend
 	obs     []Observer
+	// protoName caches proto.Name() (some protocols format it).
+	protoName string
 	// streams, when non-nil, routes the master/protocol/adversary RNG
 	// streams through slab sources instead of fully seeded ones; the
 	// plan runner sets the per-stream pre-draw sizes before each run.
@@ -180,15 +182,25 @@ type Execution struct {
 	state       execState
 	nextRound   int
 
+	// corrupted mirrors trace.Corrupted as an ascending id list and
+	// isCorrupt as a per-party flag (index id-1), so the per-round loops
+	// never range or probe the map; setupCorrupted is len(corrupted)
+	// when the setup phase ended. trueOut is f on the environment's
+	// inputs, reused for trace outputs on the same inputs.
+	corrupted      []PartyID
+	isCorrupt      []bool
+	setupCorrupted int
+	trueOut        Value
+
 	// Reusable per-run state. traceStore backs trace; the buffers below
 	// are truncated/cleared by reset, never freed, so their capacity
 	// survives across arena runs.
 	traceStore     Trace
+	auditStore     OutcomeAudit // backs trace.Audit
 	advCtx         AdvContext
 	spare          [][]Message // next-round lanes, swapped with inboxes
 	honestOut      []Message
 	rushed         []Message
-	corruptScratch []PartyID
 	corruptSetup   map[PartyID]Value
 	corruptInboxes map[PartyID][]Message
 	effectiveBuf   []Value
@@ -205,6 +217,7 @@ func newExecutionShell(proto Protocol, backend PartyBackend) *Execution {
 	}
 	e := &Execution{
 		proto:       proto,
+		protoName:   proto.Name(),
 		backend:     backend,
 		n:           proto.NumParties(),
 		totalRounds: proto.NumRounds() + 1, // +1 finalize call
@@ -258,6 +271,14 @@ func (e *Execution) reset(inputs []Value, adv Adversary, seed int64, obs []Obser
 	e.setupOuts = nil
 	e.state = execCreated
 	e.nextRound = 0
+	if e.isCorrupt == nil {
+		e.corrupted = make([]PartyID, 0, e.n)
+		e.isCorrupt = make([]bool, e.n)
+	} else {
+		e.corrupted = e.corrupted[:0]
+		clear(e.isCorrupt)
+	}
+	e.setupCorrupted = 0
 	if e.inboxes == nil {
 		e.inboxes = make([][]Message, e.n)
 		e.spare = make([][]Message, e.n)
@@ -270,7 +291,7 @@ func (e *Execution) reset(inputs []Value, adv Adversary, seed int64, obs []Obser
 
 	tr := &e.traceStore
 	e.trace = tr
-	tr.ProtocolName = e.proto.Name()
+	tr.ProtocolName = e.protoName
 	tr.Inputs = append(tr.Inputs[:0], inputs...)
 	tr.EffectiveInputs = nil
 	tr.ExpectedOutput = nil
@@ -280,14 +301,20 @@ func (e *Execution) reset(inputs []Value, adv Adversary, seed int64, obs []Obser
 	tr.Audit = nil
 	if tr.HonestAudits == nil {
 		tr.HonestAudits = make(map[PartyID]Value)
-	} else {
+	} else if len(tr.HonestAudits) > 0 {
 		clear(tr.HonestAudits)
 	}
 	tr.SetupAborted = false
 	if tr.Corrupted == nil {
 		tr.Corrupted = make(map[PartyID]bool)
-	} else {
+	} else if len(tr.Corrupted) > 0 {
 		clear(tr.Corrupted)
+	}
+	// The adversary's inbox map is keyed by the corrupted set, which
+	// only grows within a run: Step reassigns it every round and reset
+	// empties it once per run.
+	if len(e.corruptInboxes) > 0 {
+		clear(e.corruptInboxes)
 	}
 	if tr.HonestOutputs == nil {
 		tr.HonestOutputs = make(map[PartyID]OutputRecord)
@@ -302,10 +329,11 @@ func (e *Execution) reset(inputs []Value, adv Adversary, seed int64, obs []Obser
 	tr.RoundsRun = 0
 
 	e.ctxInputs = append(e.ctxInputs[:0], inputs...)
+	e.trueOut = e.proto.Func(inputs)
 	e.advCtx = AdvContext{
 		Protocol:   e.proto,
 		Inputs:     e.ctxInputs,
-		TrueOutput: e.proto.Func(inputs),
+		TrueOutput: e.trueOut,
 		RNG:        e.advRNG,
 	}
 	adv.Reset(&e.advCtx)
@@ -369,17 +397,24 @@ func (e *Execution) FailStop(id PartyID, round int, cause string) error {
 	return nil
 }
 
-// corruptedSorted returns the currently corrupted set in ascending id
-// order, for deterministic iteration (and a deterministic event stream).
-// The returned slice is scratch, valid until the next call.
-func (e *Execution) corruptedSorted() []PartyID {
-	ids := e.corruptScratch[:0]
-	for id := range e.trace.Corrupted {
-		ids = append(ids, id)
+// markCorrupted records the corruption of party id (already range-
+// checked) in the trace and in the engine's ascending list, and reports
+// whether id was newly corrupted.
+func (e *Execution) markCorrupted(id PartyID) bool {
+	if e.isCorrupt[id-1] {
+		return false
 	}
-	slices.Sort(ids)
-	e.corruptScratch = ids
-	return ids
+	e.isCorrupt[id-1] = true
+	e.trace.Corrupted[id] = true
+	i, _ := slices.BinarySearch(e.corrupted, id)
+	e.corrupted = slices.Insert(e.corrupted, i, id)
+	return true
+}
+
+// corruptedID reports whether id names a corrupted party (false for
+// Broadcast and out-of-range ids).
+func (e *Execution) corruptedID(id PartyID) bool {
+	return id >= 1 && id <= PartyID(e.n) && e.isCorrupt[id-1]
 }
 
 // handover gives the adversary a newly corrupted party's machine. It
@@ -420,16 +455,16 @@ func (e *Execution) SetupPhase() error {
 		if id < 1 || PartyID(n) < id {
 			return fmt.Errorf("%w: %d", ErrBadParty, id)
 		}
-		tr.Corrupted[id] = true
+		e.markCorrupted(id)
 	}
 	for _, o := range e.obs {
-		for _, id := range e.corruptedSorted() {
+		for _, id := range e.corrupted {
 			o.PartyCorrupted(0, id)
 		}
 	}
 	effective := append(e.effectiveBuf[:0], e.inputs...)
 	e.effectiveBuf = effective
-	for _, id := range e.corruptedSorted() {
+	for _, id := range e.corrupted {
 		effective[id-1] = e.adv.SubstituteInput(id, e.inputs[id-1])
 		for _, o := range e.obs {
 			o.InputSubstituted(id, e.inputs[id-1], effective[id-1])
@@ -457,10 +492,10 @@ func (e *Execution) SetupPhase() error {
 	e.setupOuts = setupOuts
 	if e.corruptSetup == nil {
 		e.corruptSetup = make(map[PartyID]Value)
-	} else {
+	} else if len(e.corruptSetup) > 0 {
 		clear(e.corruptSetup)
 	}
-	for id := range tr.Corrupted {
+	for _, id := range e.corrupted {
 		e.corruptSetup[id] = e.setupOutOf(id)
 	}
 	// A setup abort is only meaningful with at least one corruption, and
@@ -470,7 +505,13 @@ func (e *Execution) SetupPhase() error {
 		abortRequested = policy.SetupAbortable(len(tr.Corrupted))
 	}
 	tr.SetupAborted = abortRequested
-	tr.HybridOutput = e.proto.Func(effective)
+	// f on the effective inputs; without a substitution that is the
+	// true output computed at reset.
+	if slices.EqualFunc(effective, e.inputs, ValuesEqual) {
+		tr.HybridOutput = e.trueOut
+	} else {
+		tr.HybridOutput = e.proto.Func(effective)
+	}
 	for _, o := range e.obs {
 		o.SetupFinished(tr.SetupAborted)
 	}
@@ -479,13 +520,13 @@ func (e *Execution) SetupPhase() error {
 		// Honest parties proceed on defaults for corrupted parties.
 		withDefaults := append(e.setupDefaults[:0], e.inputs...)
 		e.setupDefaults = withDefaults
-		for id := range tr.Corrupted {
+		for _, id := range e.corrupted {
 			withDefaults[id-1] = e.proto.DefaultInput(id)
 		}
 		tr.ExpectedOutput = e.proto.Func(withDefaults)
 		tr.EffectiveInputs = withDefaults
 	} else {
-		tr.ExpectedOutput = e.proto.Func(effective)
+		tr.ExpectedOutput = tr.HybridOutput // f(effective), as above
 	}
 
 	// Build machines. Corrupted machines are handed to the adversary.
@@ -495,11 +536,12 @@ func (e *Execution) SetupPhase() error {
 			return fmt.Errorf("sim: new party %d: %w", id, err)
 		}
 	}
-	for _, id := range e.corruptedSorted() {
+	for _, id := range e.corrupted {
 		if err := e.handover(id); err != nil {
 			return err
 		}
 	}
+	e.setupCorrupted = len(e.corrupted)
 
 	e.state = execRounds
 	e.nextRound = 1
@@ -542,10 +584,9 @@ func (e *Execution) Step(round int) error {
 		if id < 1 || PartyID(n) < id {
 			return fmt.Errorf("%w: %d", ErrBadParty, id)
 		}
-		if tr.Corrupted[id] {
+		if !e.markCorrupted(id) {
 			continue
 		}
-		tr.Corrupted[id] = true
 		for _, o := range e.obs {
 			o.PartyCorrupted(r, id)
 		}
@@ -574,7 +615,7 @@ func (e *Execution) Step(round int) error {
 	rushed := e.rushed[:0]
 	for i := 0; i < n; i++ {
 		id := PartyID(i + 1)
-		if tr.Corrupted[id] || tr.FailStopped(id) {
+		if e.isCorrupt[i] || tr.FailStopped(id) {
 			continue
 		}
 		out, err := e.backend.PartyRound(id, r, e.inboxes[i])
@@ -584,7 +625,7 @@ func (e *Execution) Step(round int) error {
 		for _, m := range out {
 			m.From = id // the channel authenticates the sender
 			honestOut = append(honestOut, m)
-			if m.To == Broadcast || tr.Corrupted[m.To] {
+			if m.To == Broadcast || e.corruptedID(m.To) {
 				rushed = append(rushed, m)
 			}
 			for _, o := range e.obs {
@@ -596,18 +637,17 @@ func (e *Execution) Step(round int) error {
 
 	// Rushing adversary acts, with the corrupted parties' delivered
 	// inboxes and the rushed view of this round's honest messages. The
-	// map and slices are engine scratch: valid only during Act.
+	// map and slices are engine scratch, read-only and valid only
+	// during Act.
 	if e.corruptInboxes == nil {
 		e.corruptInboxes = make(map[PartyID][]Message)
-	} else {
-		clear(e.corruptInboxes)
 	}
-	for id := range tr.Corrupted {
+	for _, id := range e.corrupted {
 		e.corruptInboxes[id] = e.inboxes[id-1]
 	}
 	advOut := e.adv.Act(r, e.corruptInboxes, rushed)
 	for i := range advOut {
-		if !tr.Corrupted[advOut[i].From] {
+		if !e.corruptedID(advOut[i].From) {
 			return fmt.Errorf("sim: adversary sent as honest party %d", advOut[i].From)
 		}
 	}
@@ -662,21 +702,31 @@ func (e *Execution) Finalize() (*Trace, error) {
 	// Compute the defaulted output w.r.t. the final deviating set:
 	// corrupted parties and fail-stopped parties alike are the ones whose
 	// inputs surviving honest parties replace with defaults.
-	defaulted := append(e.finalDefaults[:0], e.inputs...)
-	e.finalDefaults = defaulted
-	for id := range tr.Corrupted {
-		defaulted[id-1] = e.proto.DefaultInput(id)
+	// Two common cases reuse an output already computed on the same
+	// inputs: nobody deviated (f on the true inputs), or the deviating
+	// set is the one the setup abort already defaulted.
+	switch {
+	case len(e.corrupted) == 0 && len(tr.FailStops) == 0:
+		tr.DefaultedOutput = e.trueOut
+	case tr.SetupAborted && len(e.corrupted) == e.setupCorrupted && len(tr.FailStops) == 0:
+		tr.DefaultedOutput = tr.ExpectedOutput
+	default:
+		defaulted := append(e.finalDefaults[:0], e.inputs...)
+		e.finalDefaults = defaulted
+		for _, id := range e.corrupted {
+			defaulted[id-1] = e.proto.DefaultInput(id)
+		}
+		for id := range tr.FailStops {
+			defaulted[id-1] = e.proto.DefaultInput(id)
+		}
+		tr.DefaultedOutput = e.proto.Func(defaulted)
 	}
-	for id := range tr.FailStops {
-		defaulted[id-1] = e.proto.DefaultInput(id)
-	}
-	tr.DefaultedOutput = e.proto.Func(defaulted)
 
 	// Collect honest outputs and audit data. Fail-stopped parties are
 	// gone — they produce no output, like a corrupted aborter.
 	for i := 0; i < n; i++ {
 		id := PartyID(i + 1)
-		if tr.Corrupted[id] || tr.FailStopped(id) {
+		if e.isCorrupt[i] || tr.FailStopped(id) {
 			continue
 		}
 		rec, err := e.backend.PartyOutput(id)
@@ -697,8 +747,9 @@ func (e *Execution) Finalize() (*Trace, error) {
 	// before a setup abort. A protocol-level OutcomeAuditor overrides
 	// this default rule.
 	if auditor, ok := e.proto.(OutcomeAuditor); ok {
-		audit := auditor.AuditOutcome(tr)
-		tr.Audit = &audit
+		e.auditStore = auditor.AuditOutcome(tr)
+		audit := &e.auditStore
+		tr.Audit = audit
 		if audit.Learned {
 			tr.AdvLearned = true
 			tr.AdvValue = audit.LearnedValue
@@ -711,7 +762,7 @@ func (e *Execution) Finalize() (*Trace, error) {
 	// Verify a privacy-breach claim if the strategy makes one.
 	if ex, ok := e.adv.(InputExtractor); ok {
 		if victim, v, claimed := ex.ExtractedInput(); claimed {
-			if victim >= 1 && victim <= PartyID(n) && !tr.Corrupted[victim] &&
+			if victim >= 1 && victim <= PartyID(n) && !e.isCorrupt[victim-1] &&
 				ValuesEqual(v, e.inputs[victim-1]) {
 				tr.PrivacyBreach = true
 				tr.BreachedParty = victim

@@ -38,8 +38,16 @@ const Broadcast PartyID = 0
 // reflect.DeepEqual.
 type Value any
 
-// ValuesEqual compares two values structurally.
-func ValuesEqual(a, b Value) bool { return reflect.DeepEqual(a, b) }
+// ValuesEqual compares two values structurally, as reflect.DeepEqual
+// does, answering the uint64 values most protocols use without
+// reflection.
+func ValuesEqual(a, b Value) bool {
+	if x, ok := a.(uint64); ok {
+		y, ok := b.(uint64)
+		return ok && x == y
+	}
+	return reflect.DeepEqual(a, b)
+}
 
 // Message is a round message. To == Broadcast delivers to every party and
 // is visible to the adversary.
@@ -436,5 +444,8 @@ func RunObserved(proto Protocol, inputs []Value, adv Adversary, seed int64, obs 
 }
 
 func sortStableBySender(ms []Message) {
+	if len(ms) < 2 {
+		return
+	}
 	slices.SortStableFunc(ms, func(a, b Message) int { return int(a.From) - int(b.From) })
 }

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 
 	"repro/internal/sim"
@@ -83,8 +84,14 @@ type Line struct {
 	FailStops int    `json:"failstops,omitempty"`
 }
 
-// render stringifies a protocol value for the transcript.
+// render stringifies a protocol value for the transcript. Machines send
+// payloads as pointers into their payload cells or by value; render
+// prints the value either way, so a transcript does not depend on the
+// form.
 func render(v any) string {
+	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Pointer && !rv.IsNil() {
+		v = rv.Elem().Interface()
+	}
 	s := fmt.Sprintf("%v", v)
 	if len(s) > maxPayload {
 		s = s[:maxPayload] + "…"

@@ -406,8 +406,12 @@ func Plan(spec Spec) (*Sweep, error) {
 		for _, g := range spec.Gammas {
 			if fam == "gk" {
 				for _, p := range spec.Ps {
-					if _, err := buildProtocol(fam, 2, p); err != nil {
+					proto, err := buildProtocol(fam, 2, p)
+					if err != nil {
 						return nil, fmt.Errorf("sweep: %s p=%d: %w", fam, p, err)
+					}
+					if err := core.CheckRounds(proto); err != nil {
+						return nil, fmt.Errorf("sweep: %w", err)
 					}
 					for _, cost := range spec.Costs {
 						addCell(Cell{Family: fam, Gamma: g, N: 2, T: 1,

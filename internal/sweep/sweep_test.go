@@ -40,6 +40,8 @@ func TestPlanValidation(t *testing.T) {
 		{"unknown family", Spec{Families: []string{"nope"}, Gammas: StandardGammas(), Ns: []int{2}}, "unknown family"},
 		{"bad n", Spec{Families: []string{"optn"}, Gammas: StandardGammas(), Ns: []int{1}}, "out of range"},
 		{"bad p", Spec{Families: []string{"gk"}, Gammas: StandardGammas(), Ps: []int{1}}, "out of range"},
+		{"p above round bound", Spec{Families: []string{"gk"}, Gammas: StandardGammas(), Ps: []int{257}}, "bound of 1024"},
+		{"p far above round bound", Spec{Families: []string{"gk"}, Gammas: StandardGammas(), Ps: []int{1 << 62}}, "p out of range"},
 		{"bad cost", Spec{Families: []string{"2sfe"}, Gammas: StandardGammas(), Ns: []int{2}, Costs: []string{"quadratic"}}, "unknown cost"},
 		{"not fair-plus", Spec{Families: []string{"2sfe"}, Ns: []int{2},
 			Gammas: []core.Payoff{{G00: 0.9, G01: 0, G10: 1, G11: 0.5}}}, "fair"},
