@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cliflags"
 	"repro/internal/service"
 )
 
@@ -21,13 +20,13 @@ import (
 func TestBodySizeLimit(t *testing.T) {
 	pool := service.New(service.Config{Workers: 1, CacheSize: 8})
 	t.Cleanup(pool.Close)
-	srv := newServer(pool, &cliflags.Chaos{Timeout: 2 * time.Second}, 1000, 512)
+	srv := newServer(pool, 1000, 512)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
 	// A syntactically valid JSON object far past the 512-byte cap.
 	huge := `{"proto":"` + strings.Repeat("x", 4096) + `"}`
-	for _, ep := range []string{"/v1/estimate", "/v1/sup", "/v1/sweep", "/v1/session"} {
+	for _, ep := range []string{"/v1/estimate", "/v1/sup", "/v1/sweep", "/v1/search"} {
 		resp, err := http.Post(ts.URL+ep, "application/json", strings.NewReader(huge))
 		if err != nil {
 			t.Fatalf("%s: %v", ep, err)
@@ -56,7 +55,7 @@ func TestBodySizeLimit(t *testing.T) {
 func TestEstimateRequestContextCanceled(t *testing.T) {
 	pool := service.New(service.Config{Workers: 1, CacheSize: 8})
 	t.Cleanup(pool.Close)
-	srv := newServer(pool, &cliflags.Chaos{Timeout: 2 * time.Second}, 1000, 0)
+	srv := newServer(pool, 1000, 0)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

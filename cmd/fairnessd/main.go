@@ -1,8 +1,8 @@
 // Command fairnessd is the always-on estimation daemon: an HTTP+JSON
 // front end over the shared service layer (internal/service), serving
-// utility estimates, sup-searches, bound-certifying sweeps, and real
-// transport sessions from one bounded worker pool with an LRU result
-// cache.
+// utility estimates, sup-searches, best-response searches and
+// bound-certifying sweeps from one bounded worker pool with an LRU
+// result cache.
 //
 // Endpoints:
 //
@@ -11,7 +11,6 @@
 //	POST /v1/search    {"proto","space"?,...}                  → 202 {"job_id"}; poll /v1/jobs/{id}
 //	POST /v1/sweep     {"spec":{...}}                          → 202 {"job_id"}; poll /v1/jobs/{id}
 //	GET  /v1/jobs/{id}                                         → job status + sweep summary
-//	POST /v1/session   {"proto","inputs","seed"}               → one session over loopback TCP
 //	GET  /healthz                                              → liveness
 //	GET  /metrics                                              → Prometheus text format
 //
@@ -19,9 +18,6 @@
 // parameters — byte-identical whether computed fresh, served from the
 // cache (the X-Fairnessd-Cache header distinguishes the two), or
 // produced by the equivalent CLI invocation at any parallelism.
-//
-// Chaos flags (-drop, -delay, -kill-party, …) apply to /v1/session
-// sessions, exercising the transport's fault-injection resilience.
 package main
 
 import (
@@ -32,10 +28,6 @@ import (
 	"time"
 
 	"repro/internal/cliflags"
-	"repro/internal/protocols/contract"
-	"repro/internal/protocols/gordonkatz"
-	"repro/internal/protocols/multiparty"
-	"repro/internal/protocols/twoparty"
 	"repro/internal/service"
 )
 
@@ -56,18 +48,10 @@ func run(args []string) error {
 		RunsUsage: "default runs for requests that omit a run count",
 		Parallel:  true,
 	})
-	chaos := cliflags.RegisterChaos(fs)
 	maxBody := fs.Int64("max-body-bytes", defaultMaxBody, "request body size limit in bytes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	// Sessions run over the gob transport; register every protocol
-	// family's payload types once.
-	contract.RegisterGobTypes()
-	twoparty.RegisterGobTypes()
-	multiparty.RegisterGobTypes()
-	gordonkatz.RegisterGobTypes()
 
 	pool := service.New(service.Config{
 		Workers:     *workers,
@@ -77,7 +61,7 @@ func run(args []string) error {
 	defer pool.Close()
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           newServer(pool, chaos, est.Runs, *maxBody),
+		Handler:           newServer(pool, est.Runs, *maxBody),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	fmt.Printf("fairnessd: listening on %s (workers=%d cache=%d default-runs=%d)\n",

@@ -12,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cliflags"
 	"repro/internal/core"
-	"repro/internal/protocols/contract"
 	"repro/internal/search"
 	"repro/internal/service"
 	"repro/internal/sweep"
@@ -23,10 +21,9 @@ import (
 // newTestServer boots a daemon over a fresh pool on an httptest server.
 func newTestServer(t *testing.T) (*httptest.Server, *service.Pool) {
 	t.Helper()
-	contract.RegisterGobTypes()
 	pool := service.New(service.Config{Workers: 4, CacheSize: 128, Parallelism: 2})
 	t.Cleanup(pool.Close)
-	ts := httptest.NewServer(newServer(pool, &cliflags.Chaos{Timeout: 2 * time.Second}, 1000, 0))
+	ts := httptest.NewServer(newServer(pool, 1000, 0))
 	t.Cleanup(ts.Close)
 	return ts, pool
 }
@@ -366,29 +363,6 @@ func TestSearchAsync(t *testing.T) {
 	}
 }
 
-// TestSessionEndpoint runs a real Π2 session over loopback TCP.
-func TestSessionEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/session", sessionRequest{
-		Proto: "pi2", Inputs: []uint64{0xA11CE, 0xB0B}, Seed: 1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var got sessionResponse
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Outputs) != 2 || len(got.FailStops) != 0 {
-		t.Fatalf("session response %+v, want 2 outputs, no fail-stops", got)
-	}
-	for _, out := range got.Outputs {
-		if !out.OK {
-			t.Fatalf("party %d output not OK: %+v", out.Party, got)
-		}
-	}
-}
-
 // TestHealthzAndMetrics checks the operational endpoints.
 func TestHealthzAndMetrics(t *testing.T) {
 	ts, _ := newTestServer(t)
@@ -444,7 +418,6 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/estimate", `{"bogus_field":1}`, 400},
 		{"/v1/estimate", `not json`, 400},
 		{"/v1/sup", `{"proto":"pi1","advs":[],"runs":10,"seed":1}`, 400},
-		{"/v1/session", `{"proto":"pi2","inputs":[1],"seed":1}`, 400},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))

@@ -9,11 +9,9 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
 // cacheHeader is the response header carrying cache-hit status. It is
@@ -29,9 +27,6 @@ const defaultMaxBody = 1 << 20
 // server is the fairnessd HTTP surface over one service pool.
 type server struct {
 	pool *service.Pool
-	// chaos is the session fault profile from the daemon's flags; nil
-	// Injector means fault-free sessions.
-	chaos *cliflags.Chaos
 	// defaultRuns fills estimate/sup requests that omit a run count.
 	defaultRuns int
 	// maxBody bounds request body bytes (≤0 selects defaultMaxBody).
@@ -40,18 +35,17 @@ type server struct {
 	mux     *http.ServeMux
 }
 
-func newServer(pool *service.Pool, chaos *cliflags.Chaos, defaultRuns int, maxBody int64) *server {
+func newServer(pool *service.Pool, defaultRuns int, maxBody int64) *server {
 	if maxBody <= 0 {
 		maxBody = defaultMaxBody
 	}
-	s := &server{pool: pool, chaos: chaos, defaultRuns: defaultRuns, maxBody: maxBody, start: time.Now()}
+	s := &server{pool: pool, defaultRuns: defaultRuns, maxBody: maxBody, start: time.Now()}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/estimate", s.handleEstimate)
 	mux.HandleFunc("POST /v1/sup", s.handleSup)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("POST /v1/search", s.handleSearch)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("POST /v1/session", s.handleSession)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
@@ -113,14 +107,13 @@ type engineView struct {
 	Deliveries  int64 `json:"deliveries"`
 	Corruptions int64 `json:"corruptions"`
 	SetupAborts int64 `json:"setup_aborts"`
-	FailStops   int64 `json:"fail_stops"`
 }
 
 func engineOf(m sim.Metrics) engineView {
 	return engineView{
 		Runs: m.Runs, Rounds: m.Rounds, Messages: m.Messages,
 		Broadcasts: m.Broadcasts, Deliveries: m.Deliveries,
-		Corruptions: m.Corruptions, SetupAborts: m.SetupAborts, FailStops: m.FailStops,
+		Corruptions: m.Corruptions, SetupAborts: m.SetupAborts,
 	}
 }
 
@@ -391,91 +384,6 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, viewOf(job))
 }
 
-// sessionRequest asks for one real protocol session over the
-// chaos-hardened transport (loopback TCP, per the daemon's chaos
-// flags). Inputs are uint64 party inputs in party order.
-type sessionRequest struct {
-	Proto  string   `json:"proto"`
-	Inputs []uint64 `json:"inputs"`
-	Seed   int64    `json:"seed"`
-}
-
-// sessionOutput is one surviving party's output.
-type sessionOutput struct {
-	Party int    `json:"party"`
-	Value string `json:"value"`
-	OK    bool   `json:"ok"`
-}
-
-// sessionFailStop is one fail-stopped party.
-type sessionFailStop struct {
-	Party int    `json:"party"`
-	Round int    `json:"round"`
-	Cause string `json:"cause"`
-}
-
-// sessionResponse is the /v1/session body.
-type sessionResponse struct {
-	Proto     string            `json:"proto"`
-	Seed      int64             `json:"seed"`
-	Outputs   []sessionOutput   `json:"outputs"`
-	FailStops []sessionFailStop `json:"fail_stops,omitempty"`
-	Resumes   int               `json:"resumes"`
-}
-
-func (s *server) handleSession(w http.ResponseWriter, r *http.Request) {
-	var req sessionRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	proto, _, err := service.BuildProtocol(req.Proto)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Inputs) != proto.NumParties() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("protocol %s needs %d inputs, got %d", req.Proto, proto.NumParties(), len(req.Inputs)))
-		return
-	}
-	inputs := make([]sim.Value, len(req.Inputs))
-	for i, v := range req.Inputs {
-		inputs[i] = v
-	}
-	cfg := transport.SessionConfig{}
-	if s.chaos != nil {
-		inj, err := s.chaos.Injector()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		if inj != nil {
-			cfg.Fault = inj
-			cfg.RoundTimeout = s.chaos.Timeout
-			cfg.MaxResumes = 64
-		}
-	}
-	rep, err := transport.RunSessionReport(proto, inputs, req.Seed, cfg)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := sessionResponse{Proto: req.Proto, Seed: req.Seed, Resumes: rep.Resumes}
-	for id := sim.PartyID(1); int(id) <= proto.NumParties(); id++ {
-		if rec, ok := rep.Outputs[id]; ok {
-			resp.Outputs = append(resp.Outputs, sessionOutput{
-				Party: int(id), Value: fmt.Sprintf("%v", rec.Value), OK: rec.OK,
-			})
-		}
-		if info, ok := rep.FailStops[id]; ok {
-			resp.FailStops = append(resp.FailStops, sessionFailStop{
-				Party: int(id), Round: info.Round, Cause: info.Cause,
-			})
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // healthView is the /healthz body.
 type healthView struct {
 	Status        string  `json:"status"`
@@ -515,7 +423,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"fairness_engine_deliveries_total", "Inbox deliveries.", m.Deliveries},
 		{"fairness_engine_corruptions_total", "Corruption events.", m.Corruptions},
 		{"fairness_engine_setup_aborts_total", "Aborted hybrid setups.", m.SetupAborts},
-		{"fairness_engine_fail_stops_total", "Fail-stop aborts.", m.FailStops},
 	}
 	for _, r := range rows {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",

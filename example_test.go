@@ -66,20 +66,6 @@ func ExampleClassify() {
 	// event=E01 output=1
 }
 
-// ExampleRunOverTCP executes a protocol session over loopback TCP.
-func ExampleRunOverTCP() {
-	fairness.RegisterContractGobTypes()
-	outs, err := fairness.RunOverTCP(fairness.Pi1{},
-		[]fairness.Value{uint64(11), uint64(22)}, fairness.GobCodec{}, 1)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("party 1: %+v\n", outs[1].Value)
-	// Output:
-	// party 1: {S1:11 S2:22}
-}
-
 // ExampleIsUtilityBalanced checks Definition 5 on a measured per-t
 // utility profile.
 func ExampleIsUtilityBalanced() {

@@ -33,7 +33,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 	"repro/internal/protocols/contract"
 	"repro/internal/protocols/gordonkatz"
 	"repro/internal/protocols/multiparty"
@@ -42,7 +41,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sim/trace"
 	"repro/internal/stats"
-	"repro/internal/transport"
 )
 
 // Core model types.
@@ -126,15 +124,6 @@ type (
 	// Execution is one protocol run decomposed into callable phases
 	// (SetupPhase, Step, Finalize).
 	Execution = sim.Execution
-	// PartyBackend runs the party machines for an Execution (in-memory
-	// or, via the transport, in remote processes).
-	PartyBackend = sim.PartyBackend
-	// FailStopInfo records why and when a party fail-stopped (the
-	// fail-stop → abort-adversary degradation).
-	FailStopInfo = sim.FailStopInfo
-	// FailStopObserver is the optional Observer extension receiving
-	// fail-stop abort events.
-	FailStopObserver = sim.FailStopObserver
 )
 
 // Events.
@@ -168,8 +157,6 @@ var (
 	RunObserved = sim.RunObserved
 	// NewExecution opens a stepwise execution (SetupPhase/Step/Finalize).
 	NewExecution = sim.NewExecution
-	// NewExecutionWithBackend is NewExecution on an explicit PartyBackend.
-	NewExecutionWithBackend = sim.NewExecutionWithBackend
 	// Classify maps a trace to its ideal-world outcome.
 	Classify = core.Classify
 	// EstimateUtility measures u_A(Π, A) by Monte-Carlo simulation on
@@ -278,7 +265,7 @@ var (
 )
 
 // Best-response search (racing + branch-and-bound over strategy
-// spaces; see internal/search and DESIGN.md §10).
+// spaces; see internal/search and DESIGN.md §9).
 type (
 	// SearchOptions tunes the racing schedule (wave sizes, elimination
 	// confidence δ, beam width, checkpoint path).
@@ -414,76 +401,4 @@ var (
 	FormatTraceLine = trace.FormatLine
 	// PrintTranscript pretty-prints a JSONL transcript stream.
 	PrintTranscript = trace.Fprint
-)
-
-// Network transport (run protocols over loopback TCP).
-type (
-	// TransportCodec serializes message payloads for TCP sessions.
-	TransportCodec = transport.Codec
-	// GobCodec is the default gob payload codec.
-	GobCodec = transport.GobCodec
-	// SessionConfig tunes a TCP session (codec, timeouts, observers,
-	// fault injection, reconnect/resume budgets).
-	SessionConfig = transport.SessionConfig
-	// SessionReport is the full result of a chaos-tolerant TCP session:
-	// outputs, trace, fail-stop verdicts, resume count.
-	SessionReport = transport.SessionReport
-)
-
-var (
-	// RunOverTCP executes one honest protocol session over loopback TCP.
-	RunOverTCP = transport.RunSession
-	// RunOverTCPConfig is RunOverTCP with an explicit SessionConfig.
-	RunOverTCPConfig = transport.RunSessionConfig
-	// RunOverTCPReport runs a session tolerating faults: transient
-	// connection faults heal via reconnect/resume, unrecoverable peers
-	// degrade into fail-stop aborts reported in the SessionReport.
-	RunOverTCPReport = transport.RunSessionReport
-	// RegisterContractGobTypes enables Π1/Π2 over TCP.
-	RegisterContractGobTypes = contract.RegisterGobTypes
-	// RegisterTwoPartyGobTypes enables ΠOpt-2SFE over TCP.
-	RegisterTwoPartyGobTypes = twoparty.RegisterGobTypes
-	// RegisterMultiPartyGobTypes enables the n-party protocols over TCP.
-	RegisterMultiPartyGobTypes = multiparty.RegisterGobTypes
-	// RegisterGordonKatzGobTypes enables the GK protocols over TCP.
-	RegisterGordonKatzGobTypes = gordonkatz.RegisterGobTypes
-)
-
-// Deterministic fault injection (chaos-testing the transport; every
-// chaos run is replayable from its seed and schedule alone).
-type (
-	// FaultInjector decides the fate of session frames.
-	FaultInjector = faultinject.Injector
-	// FaultPoint identifies one frame's first transmission.
-	FaultPoint = faultinject.Point
-	// FaultDecision is the injector's verdict for one point.
-	FaultDecision = faultinject.Decision
-	// FaultRule matches points in an explicit fault schedule.
-	FaultRule = faultinject.Rule
-	// FaultSchedule fires explicit rules (first match with budget left).
-	FaultSchedule = faultinject.Schedule
-	// FaultProfile configures the seeded random injector.
-	FaultProfile = faultinject.Profile
-	// FaultOp is the action taken on a frame.
-	FaultOp = faultinject.Op
-)
-
-// Fault operations.
-const (
-	FaultNone       = faultinject.None
-	FaultDrop       = faultinject.Drop
-	FaultDelay      = faultinject.Delay
-	FaultDuplicate  = faultinject.Duplicate
-	FaultReorder    = faultinject.Reorder
-	FaultCorrupt    = faultinject.Corrupt
-	FaultDisconnect = faultinject.Disconnect
-	FaultKill       = faultinject.Kill
-)
-
-var (
-	// NewFaultSchedule builds an explicit, replayable fault plan.
-	NewFaultSchedule = faultinject.NewSchedule
-	// NewRandomFaults builds the seeded hash-based injector: decisions
-	// are a pure function of (seed, party, direction, sequence).
-	NewRandomFaults = faultinject.NewRandom
 )

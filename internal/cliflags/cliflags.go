@@ -1,20 +1,13 @@
 // Package cliflags centralizes the flag surface shared by the fairness
 // commands (fairness, fairsim, fairsweep, fairsearch) and the fairnessd
 // daemon: Monte-Carlo effort (-runs, -sup), seeding (-seed), estimator
-// parallelism (-parallel), transcript capture (-trace), and the chaos
-// block (-chaos-seed, -drop, -delay, -max-delay, -kill-party,
-// -kill-round, -timeout) used wherever sessions run over the fallible
-// transport. One registration helper means one set of defaults and one
-// explicit-zero semantics (the fs.Visit idiom) instead of a copy per
-// command.
+// parallelism (-parallel), transcript capture (-trace), and the search
+// and variance-reduction blocks. One registration helper means one set
+// of defaults and one explicit-zero semantics (the fs.Visit idiom)
+// instead of a copy per command.
 package cliflags
 
-import (
-	"flag"
-	"time"
-
-	"repro/internal/faultinject"
-)
+import "flag"
 
 // Estimation is the parsed shared estimation flag block.
 type Estimation struct {
@@ -130,7 +123,7 @@ func RegisterSearch(fs *flag.FlagSet) *Search {
 }
 
 // Variance is the parsed shared variance-reduction flag block used by
-// fairsweep and fairsearch: the statistical levers of DESIGN.md §11.
+// fairsweep and fairsearch: the statistical levers of DESIGN.md §10.
 // Both are off by default; with both off every record and report is
 // byte-identical to the frozen matrices.
 type Variance struct {
@@ -153,50 +146,4 @@ func RegisterVariance(fs *flag.FlagSet) *Variance {
 	fs.BoolVar(&v.ControlVariates, "control-variate", false,
 		"estimate only the residual against exact laws where one exists (Gordon–Katz first-hit): changes record bytes")
 	return v
-}
-
-// Chaos is the parsed shared chaos flag block: the seeded fault profile
-// applied to transport sessions.
-type Chaos struct {
-	// Seed drives the deterministic fault injector (-chaos-seed).
-	Seed int64
-	// Drop and Delay are per-frame fault probabilities (-drop, -delay).
-	Drop, Delay float64
-	// MaxDelay bounds injected delays (-max-delay).
-	MaxDelay time.Duration
-	// KillParty and KillRound schedule a crash (-kill-party 0 = nobody).
-	KillParty, KillRound int
-	// Timeout is the per-frame round timeout under chaos (-timeout).
-	Timeout time.Duration
-}
-
-// RegisterChaos registers the chaos flag block on fs with the canonical
-// defaults (the ones examples/network established).
-func RegisterChaos(fs *flag.FlagSet) *Chaos {
-	c := &Chaos{}
-	fs.Int64Var(&c.Seed, "chaos-seed", 1, "seed for the deterministic fault injector")
-	fs.Float64Var(&c.Drop, "drop", 0, "per-frame drop probability (chaos mode)")
-	fs.Float64Var(&c.Delay, "delay", 0, "per-frame delay probability (chaos mode)")
-	fs.DurationVar(&c.MaxDelay, "max-delay", 5*time.Millisecond, "upper bound on injected delays")
-	fs.IntVar(&c.KillParty, "kill-party", 0, "party to crash (0 = nobody)")
-	fs.IntVar(&c.KillRound, "kill-round", 1, "round at which -kill-party crashes")
-	fs.DurationVar(&c.Timeout, "timeout", 2*time.Second, "per-frame round timeout in chaos mode")
-	return c
-}
-
-// Enabled reports whether any fault was requested.
-func (c *Chaos) Enabled() bool {
-	return c.Drop > 0 || c.Delay > 0 || c.KillParty > 0
-}
-
-// Injector builds the seeded random fault injector for the parsed
-// profile, or nil when no fault was requested.
-func (c *Chaos) Injector() (faultinject.Injector, error) {
-	if !c.Enabled() {
-		return nil, nil
-	}
-	return faultinject.NewRandom(c.Seed, faultinject.Profile{
-		Drop: c.Drop, Delay: c.Delay, MaxDelay: c.MaxDelay,
-		KillParty: c.KillParty, KillRound: c.KillRound,
-	})
 }

@@ -3,7 +3,6 @@ package cliflags
 import (
 	"flag"
 	"testing"
-	"time"
 )
 
 func TestRegisterEstimationDefaultsAndGiven(t *testing.T) {
@@ -31,35 +30,5 @@ func TestRegisterEstimationSelectsFlags(t *testing.T) {
 		if got := fs.Lookup(name) != nil; got != want {
 			t.Errorf("flag -%s registered = %v, want %v", name, got, want)
 		}
-	}
-}
-
-func TestChaos(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	c := RegisterChaos(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if c.Enabled() {
-		t.Error("default chaos profile reports enabled")
-	}
-	if inj, err := c.Injector(); err != nil || inj != nil {
-		t.Errorf("disabled profile: injector=%v err=%v, want nil, nil", inj, err)
-	}
-	if c.Seed != 1 || c.MaxDelay != 5*time.Millisecond || c.KillRound != 1 || c.Timeout != 2*time.Second {
-		t.Errorf("defaults %+v", c)
-	}
-
-	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	c = RegisterChaos(fs)
-	if err := fs.Parse([]string{"-drop", "0.1", "-chaos-seed", "9"}); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Enabled() {
-		t.Error("drop>0 profile reports disabled")
-	}
-	inj, err := c.Injector()
-	if err != nil || inj == nil {
-		t.Fatalf("injector: %v, %v", inj, err)
 	}
 }

@@ -19,11 +19,7 @@ type Outcome struct {
 	// party's input — not simulatable against any of the paper's
 	// functionalities (Lemma 26's attack on Π̃).
 	PrivacyBreach bool
-	// Corrupted is the number of deviating parties t: parties corrupted
-	// by the adversary plus parties fail-stopped by infrastructure
-	// failures. A crashed party is priced exactly like a corrupted party
-	// that aborted at the same round (the fail-stop → security-with-abort
-	// degradation), so corruption costs apply to it too.
+	// Corrupted is the number of corrupted parties t.
 	Corrupted int
 }
 
@@ -38,16 +34,9 @@ type Outcome struct {
 //     "learned" is the engine-verified fact that the adversary's view
 //     determined the output and "delivered" means every honest party
 //     output the expected value.
-//
-// Fail-stopped parties (Trace.FailStops) count toward t: the fail-stop
-// degradation maps an infrastructure failure onto the abort adversary
-// that corrupts the crashed party and goes silent at the same round, so
-// a chaos run is priced by the same events as an adversarial run. A
-// fail-stop run where the survivors delivered the defaulted output is
-// E01 (abort before learning), never an error.
 func Classify(tr *sim.Trace) Outcome {
 	n := len(tr.Inputs)
-	t := tr.NumDeviating()
+	t := tr.NumCorrupted()
 	out := Outcome{
 		CorrectnessViolation: tr.AnyHonestWrong(),
 		PrivacyBreach:        tr.PrivacyBreach,

@@ -5,7 +5,7 @@ package core
 // random-numbers run seeding. Unlike every other Option, the statistical
 // options here deliberately change what the estimator computes — they
 // are all off by default, and with all of them off EstimateUtility's
-// output is byte-identical to the frozen contract. See DESIGN.md §11.
+// output is byte-identical to the frozen contract. See DESIGN.md §10.
 
 import "hash/fnv"
 

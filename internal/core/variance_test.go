@@ -2,7 +2,7 @@ package core_test
 
 // Engine-level tests for the variance-reduction options: control
 // variates (exact-residual estimation) and common-random-numbers
-// pairing. Everything here exercises the contract DESIGN.md §11 states:
+// pairing. Everything here exercises the contract DESIGN.md §10 states:
 // the options change coin streams or the estimator, never the estimand,
 // and with all of them off the engine is untouched (the frozen
 // byte-identity matrices in internal/sweep and internal/search pin that

@@ -22,7 +22,6 @@
 package gmwproto
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -407,14 +406,4 @@ func (m *machine) Clone() sim.Party {
 		cp.triples[k] = v
 	}
 	return &cp
-}
-
-// RegisterGobTypes registers the protocol's wire payloads and setup
-// outputs with encoding/gob, for running it over the transport package's
-// TCP sessions. Safe to call multiple times.
-func RegisterGobTypes() {
-	gob.Register(setupOut{})
-	gob.Register(deMsg{})
-	gob.Register(outMsg{})
-	gob.Register(uint64(0))
 }

@@ -48,8 +48,8 @@ type openMsg struct {
 }
 
 // asCommitMsg unwraps a commitment payload, delivered as a pointer into
-// the sender's payload cell (the hot path) or by value (hand-built
-// messages, gob decodes).
+// the sender's payload cell (the hot path) or by value (an adversary's
+// hand-built messages).
 func asCommitMsg(payload any) (commitMsg, bool) {
 	switch m := payload.(type) {
 	case *commitMsg:

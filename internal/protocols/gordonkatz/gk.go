@@ -364,8 +364,8 @@ type gkOpen struct {
 }
 
 // asOpen unwraps an iteration opening, delivered as a pointer into the
-// sender's payload cell (the hot path) or by value (hand-built messages,
-// gob decodes).
+// sender's payload cell (the hot path) or by value (an adversary's
+// hand-built messages).
 func asOpen(payload any) (gkOpen, bool) {
 	switch o := payload.(type) {
 	case *gkOpen:

@@ -154,7 +154,7 @@ func (m *pitildeParty) send(to sim.PartyID, lm leakMsg) []sim.Message {
 }
 
 // asLeakMsg unwraps a leak-phase payload, by pointer (a machine's
-// payload cell) or by value (the extractor's deviation, gob decodes).
+// payload cell) or by value (the extractor's deviation).
 func asLeakMsg(payload any) (leakMsg, bool) {
 	switch lm := payload.(type) {
 	case *leakMsg:

@@ -110,8 +110,3 @@ func TestBiasedOrderConstruction(t *testing.T) {
 		t.Errorf("E10 freq %v, want ≈ 0.25", rep.EventFreq[core.E10])
 	}
 }
-
-func TestRegisterGobTypesIdempotent(t *testing.T) {
-	RegisterGobTypes()
-	RegisterGobTypes() // must not panic on re-registration of same types
-}

@@ -346,8 +346,8 @@ func (m *machine) Round(round int, inbox []sim.Message) ([]sim.Message, error) {
 }
 
 // asOpenMsg unwraps an opening payload, delivered as a pointer into the
-// sender's scratch (the hot path) or by value (hand-built messages, gob
-// decodes of old recordings).
+// sender's scratch (the hot path) or by value (an adversary's hand-built
+// messages).
 func asOpenMsg(payload any) (share.OpenMsg, bool) {
 	switch o := payload.(type) {
 	case *share.OpenMsg:

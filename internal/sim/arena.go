@@ -25,9 +25,9 @@ type Arena struct {
 	exec *Execution
 }
 
-// NewArena returns an arena for proto backed by the in-memory backend.
+// NewArena returns an arena for proto.
 func NewArena(proto Protocol) *Arena {
-	return &Arena{exec: newExecutionShell(proto, nil)}
+	return &Arena{exec: newExecutionShell(proto, false)}
 }
 
 // Run executes one protocol instance against the adversary with the

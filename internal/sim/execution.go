@@ -9,116 +9,8 @@ import (
 	"repro/internal/rng"
 )
 
-// PartyBackend runs the protocol machines for an Execution. The engine
-// owns the model (corruptions, rushing, routing, the trace); the backend
-// owns the machines. The in-memory backend calls Party methods directly;
-// the TCP transport's backend forwards frames to remote party processes.
-type PartyBackend interface {
-	// StartParty builds/initializes party id with its effective input,
-	// private setup output, the setup-abort flag, and the party's RNG
-	// seed (drawn from the execution's master seed, so every backend
-	// reproduces the same machine randomness).
-	StartParty(id PartyID, input Value, setupOut Value, setupAborted bool, seed int64) error
-	// PartyRound advances party id one round on its inbox and returns
-	// its outgoing messages.
-	PartyRound(id PartyID, round int, inbox []Message) ([]Message, error)
-	// PartyOutput returns party id's final output.
-	PartyOutput(id PartyID) (OutputRecord, error)
-	// Machine returns party id's live machine for adversarial handover,
-	// or nil when machines are not host-local. A backend returning nil
-	// supports only honest executions: the engine refuses to corrupt a
-	// party it cannot hand over.
-	Machine(id PartyID) Party
-	// AuditInfo returns party id's AuditInfo when the machine exposes
-	// one (see AuditedParty); ok=false otherwise.
-	AuditInfo(id PartyID) (Value, bool)
-}
-
-// localBackend is the in-memory backend: machines live in-process and
-// are stepped by direct method calls. Party RNGs are retained and
-// reseeded across runs (machines draw all randomness at construction,
-// so a previous run's machine never touches a reseeded stream). A
-// backend built by a PlanRunner additionally draws the party streams
-// through slab sources (see internal/rng.SlabSource) and reuses machine
-// objects of protocols implementing ReusableParty.
-type localBackend struct {
-	proto    Protocol
-	machines []Party
-	rngs     []*rand.Rand
-	// sources, when non-nil, are the slab sources behind rngs, one per
-	// party; the plan runner tunes their pre-drawn prefixes per run.
-	sources []*rng.SlabSource
-}
-
-func newLocalBackend(proto Protocol) *localBackend {
-	n := proto.NumParties()
-	return &localBackend{proto: proto, machines: make([]Party, n), rngs: make([]*rand.Rand, n)}
-}
-
-// newSlabBackend is newLocalBackend with every party RNG drawing through
-// a slab source, for plan-driven executions.
-func newSlabBackend(proto Protocol) *localBackend {
-	b := newLocalBackend(proto)
-	b.sources = make([]*rng.SlabSource, len(b.rngs))
-	for i := range b.sources {
-		b.sources[i] = rng.NewSlabSource()
-	}
-	return b
-}
-
-func (b *localBackend) StartParty(id PartyID, input Value, setupOut Value, setupAborted bool, seed int64) error {
-	r := b.rngs[id-1]
-	if r == nil {
-		if b.sources != nil {
-			r = rand.New(b.sources[id-1])
-			r.Seed(seed)
-		} else {
-			r = rng.New(seed)
-		}
-		b.rngs[id-1] = r
-	} else {
-		r.Seed(seed)
-	}
-	if prev := b.machines[id-1]; prev != nil {
-		if ru, ok := prev.(ReusableParty); ok && ru.Reinit(id, input, setupOut, setupAborted, r) {
-			return nil
-		}
-	}
-	m, err := b.proto.NewParty(id, input, setupOut, setupAborted, r)
-	if err != nil {
-		return err
-	}
-	b.machines[id-1] = m
-	return nil
-}
-
-func (b *localBackend) PartyRound(id PartyID, round int, inbox []Message) ([]Message, error) {
-	return b.machines[id-1].Round(round, inbox)
-}
-
-func (b *localBackend) PartyOutput(id PartyID) (OutputRecord, error) {
-	v, ok := b.machines[id-1].Output()
-	return OutputRecord{Value: v, OK: ok}, nil
-}
-
-func (b *localBackend) Machine(id PartyID) Party { return b.machines[id-1] }
-
-func (b *localBackend) AuditInfo(id PartyID) (Value, bool) {
-	if ap, ok := b.machines[id-1].(AuditedParty); ok {
-		return ap.AuditInfo(), true
-	}
-	return nil, false
-}
-
-// Execution phase-ordering errors.
-var (
-	// ErrPhase reports a phase method called out of order.
-	ErrPhase = errors.New("sim: execution phase out of order")
-	// ErrRemoteCorruption reports an adversarial corruption against a
-	// backend that cannot hand over machines (e.g. the TCP transport,
-	// whose machines live in remote party processes).
-	ErrRemoteCorruption = errors.New("sim: corruption requires an in-memory backend")
-)
+// ErrPhase reports an Execution phase method called out of order.
+var ErrPhase = errors.New("sim: execution phase out of order")
 
 // execState tracks the phase an Execution is in.
 type execState int
@@ -141,10 +33,16 @@ const (
 //
 // Run wraps the four phases back into the classic single call and
 // produces a trace identical to the pre-stepper engine's. The phases
-// exist so that callers can hold the execution open between rounds: the
-// TCP transport drives one wire round per Step, round-level attack
-// strategies can be scheduled between Steps, and Observers stream every
-// engine event as it happens instead of reading a post-hoc trace.
+// exist so that callers can hold the execution open between rounds:
+// round-level attack strategies can be scheduled between Steps, and
+// Observers stream every engine event as it happens instead of reading
+// a post-hoc trace.
+//
+// The execution owns the party machines and steps them by direct method
+// calls. Party RNGs are retained and reseeded across runs (machines draw
+// all randomness at construction, so a previous run's machine never
+// touches a reseeded stream), and machines of protocols implementing
+// ReusableParty are re-initialized in place.
 //
 // Every per-run allocation (trace maps, inbox lanes, RNG streams, the
 // adversary context, scratch buffers) lives on the Execution and is
@@ -152,16 +50,15 @@ const (
 // runs on one Execution without reallocating; a one-shot Execution pays
 // each allocation exactly once, as before.
 type Execution struct {
-	proto   Protocol
-	adv     Adversary
-	backend PartyBackend
-	obs     []Observer
+	proto Protocol
+	adv   Adversary
+	obs   []Observer
 	// protoName caches proto.Name() (some protocols format it).
 	protoName string
-	// streams, when non-nil, routes the master/protocol/adversary RNG
-	// streams through slab sources instead of fully seeded ones; the
-	// plan runner sets the per-stream pre-draw sizes before each run.
-	// The emitted streams are bit-identical either way.
+	// streams, when non-nil, routes every RNG stream (master, protocol,
+	// adversary and party) through slab sources instead of fully seeded
+	// ones; the plan runner sets the per-stream pre-draw sizes before
+	// each run. The emitted streams are bit-identical either way.
 	streams *execStreams
 	// setupFn replaces proto.Setup when the protocol implements
 	// ScratchSetupProtocol (one scratch evaluator per Execution).
@@ -172,6 +69,8 @@ type Execution struct {
 	effective  []Value // after adversarial substitution
 	setupOuts  []Value
 	partySeeds []int64
+	machines   []Party      // index id-1
+	partyRNGs  []*rand.Rand // index id-1, retained across runs
 	master     *rand.Rand
 	protoRNG   *rand.Rand
 	advRNG     *rand.Rand
@@ -209,18 +108,21 @@ type Execution struct {
 	ctxInputs      []Value
 }
 
-// newExecutionShell builds an Execution skeleton bound to a protocol and
-// backend but no run; reset readies it for one.
-func newExecutionShell(proto Protocol, backend PartyBackend) *Execution {
-	if backend == nil {
-		backend = newLocalBackend(proto)
-	}
+// newExecutionShell builds an Execution skeleton bound to a protocol but
+// no run; reset readies it for one. slab routes every RNG stream through
+// slab sources, for plan-driven executions.
+func newExecutionShell(proto Protocol, slab bool) *Execution {
+	n := proto.NumParties()
 	e := &Execution{
 		proto:       proto,
 		protoName:   proto.Name(),
-		backend:     backend,
-		n:           proto.NumParties(),
+		n:           n,
 		totalRounds: proto.NumRounds() + 1, // +1 finalize call
+		machines:    make([]Party, n),
+		partyRNGs:   make([]*rand.Rand, n),
+	}
+	if slab {
+		e.streams = newExecStreams(n)
 	}
 	if sp, ok := proto.(ScratchSetupProtocol); ok {
 		e.setupFn = sp.NewSetupScratch()
@@ -321,7 +223,6 @@ func (e *Execution) reset(inputs []Value, adv Adversary, seed int64, obs []Obser
 	} else {
 		clear(tr.HonestOutputs)
 	}
-	tr.FailStops = nil
 	tr.AdvLearned = false
 	tr.AdvValue = nil
 	tr.PrivacyBreach = false
@@ -344,14 +245,7 @@ func (e *Execution) reset(inputs []Value, adv Adversary, seed int64, obs []Obser
 // RNG streams (in the same master order as the classic Run) and resets
 // the adversary. No protocol code runs until SetupPhase.
 func NewExecution(proto Protocol, inputs []Value, adv Adversary, seed int64, obs ...Observer) (*Execution, error) {
-	return NewExecutionWithBackend(proto, inputs, adv, seed, nil, obs...)
-}
-
-// NewExecutionWithBackend is NewExecution with the party machines run by
-// an explicit backend; backend == nil selects the in-memory backend.
-func NewExecutionWithBackend(proto Protocol, inputs []Value, adv Adversary, seed int64,
-	backend PartyBackend, obs ...Observer) (*Execution, error) {
-	e := newExecutionShell(proto, backend)
+	e := newExecutionShell(proto, false)
 	if err := e.reset(inputs, adv, seed, obs); err != nil {
 		return nil, err
 	}
@@ -361,41 +255,6 @@ func NewExecutionWithBackend(proto Protocol, inputs []Value, adv Adversary, seed
 // TotalRounds returns the number of Step calls an execution takes: the
 // protocol's message rounds plus the finalize round.
 func (e *Execution) TotalRounds() int { return e.totalRounds }
-
-// FailStop converts party id into a fail-stop abort: from the next Step
-// on, the party's machine is no longer driven, no messages are routed to
-// it, and Finalize collects no output from it — exactly the silence an
-// abort adversary produces after corrupting the party and stopping, so
-// surviving honest parties default the crashed party's input and the
-// fairness classifier prices the run like an adversarial abort (see
-// Trace.FailStops and core.Classify).
-//
-// round is the wire round the failure was detected in (0 = setup phase).
-// FailStop may be called between SetupPhase and Finalize — typically by
-// a transport host that lost a peer irrecoverably — and is idempotent
-// per party. Observers implementing FailStopObserver receive the event.
-func (e *Execution) FailStop(id PartyID, round int, cause string) error {
-	if e.state != execRounds {
-		return fmt.Errorf("%w: FailStop(%d) in state %d", ErrPhase, id, e.state)
-	}
-	if id < 1 || PartyID(e.n) < id {
-		return fmt.Errorf("%w: %d", ErrBadParty, id)
-	}
-	tr := e.trace
-	if tr.FailStops == nil {
-		tr.FailStops = make(map[PartyID]FailStopInfo)
-	}
-	if _, dup := tr.FailStops[id]; dup {
-		return nil
-	}
-	tr.FailStops[id] = FailStopInfo{Round: round, Cause: cause}
-	for _, o := range e.obs {
-		if f, ok := o.(FailStopObserver); ok {
-			f.PartyFailStopped(round, id, cause)
-		}
-	}
-	return nil
-}
 
 // markCorrupted records the corruption of party id (already range-
 // checked) in the trace and in the engine's ascending list, and reports
@@ -417,17 +276,31 @@ func (e *Execution) corruptedID(id PartyID) bool {
 	return id >= 1 && id <= PartyID(e.n) && e.isCorrupt[id-1]
 }
 
-// handover gives the adversary a newly corrupted party's machine. It
-// fails when the backend cannot produce machines (remote executions are
-// honest-only).
-func (e *Execution) handover(id PartyID) error {
-	m := e.backend.Machine(id)
-	if m == nil {
-		if _, isLocal := e.backend.(*localBackend); !isLocal {
-			return fmt.Errorf("%w: party %d", ErrRemoteCorruption, id)
-		}
+// startParty readies party i+1's machine for the run: it reseeds the
+// party's retained RNG (building it on first use) and re-initializes the
+// previous run's machine in place when the protocol supports it, or
+// builds a fresh one.
+func (e *Execution) startParty(i int, input, setupOut Value, setupAborted bool) error {
+	r := e.partyRNGs[i]
+	switch {
+	case r != nil:
+		r.Seed(e.partySeeds[i])
+	case e.streams != nil:
+		r = rand.New(e.streams.party[i])
+		r.Seed(e.partySeeds[i])
+	default:
+		r = rng.New(e.partySeeds[i])
 	}
-	e.adv.OnCorrupt(id, m, e.setupOutOf(id))
+	e.partyRNGs[i] = r
+	id := PartyID(i + 1)
+	if ru, ok := e.machines[i].(ReusableParty); ok && ru.Reinit(id, input, setupOut, setupAborted, r) {
+		return nil
+	}
+	m, err := e.proto.NewParty(id, input, setupOut, setupAborted, r)
+	if err != nil {
+		return err
+	}
+	e.machines[i] = m
 	return nil
 }
 
@@ -531,15 +404,12 @@ func (e *Execution) SetupPhase() error {
 
 	// Build machines. Corrupted machines are handed to the adversary.
 	for i := 0; i < n; i++ {
-		id := PartyID(i + 1)
-		if err := e.backend.StartParty(id, effective[i], e.setupOutOf(id), tr.SetupAborted, e.partySeeds[i]); err != nil {
-			return fmt.Errorf("sim: new party %d: %w", id, err)
+		if err := e.startParty(i, effective[i], e.setupOutOf(PartyID(i+1)), tr.SetupAborted); err != nil {
+			return fmt.Errorf("sim: new party %d: %w", i+1, err)
 		}
 	}
 	for _, id := range e.corrupted {
-		if err := e.handover(id); err != nil {
-			return err
-		}
+		e.adv.OnCorrupt(id, e.machines[id-1], e.setupOutOf(id))
 	}
 	e.setupCorrupted = len(e.corrupted)
 
@@ -550,19 +420,15 @@ func (e *Execution) SetupPhase() error {
 
 // deliverInto routes one round message into the next-round lanes.
 // Broadcasts go to everyone (including the sender) in deterministic
-// order; fail-stopped parties receive nothing.
+// order.
 func (e *Execution) deliverInto(next [][]Message, m Message) {
-	tr, n := e.trace, e.n
 	if m.To == Broadcast {
-		for i := 0; i < n; i++ {
-			if tr.FailStopped(PartyID(i + 1)) {
-				continue
-			}
+		for i := range next {
 			next[i] = append(next[i], m)
 		}
 		return
 	}
-	if m.To >= 1 && m.To <= PartyID(n) && !tr.FailStopped(m.To) {
+	if m.To >= 1 && m.To <= PartyID(e.n) {
 		next[m.To-1] = append(next[m.To-1], m)
 	}
 }
@@ -590,35 +456,28 @@ func (e *Execution) Step(round int) error {
 		for _, o := range e.obs {
 			o.PartyCorrupted(r, id)
 		}
-		if err := e.handover(id); err != nil {
-			return err
-		}
+		e.adv.OnCorrupt(id, e.machines[id-1], e.setupOutOf(id))
 	}
 
 	// Deliver this round's inboxes: honest parties consume them in their
 	// Round call below; corrupted parties' inboxes go to the adversary.
-	// Fail-stopped parties are gone — nothing is delivered to them.
 	for _, o := range e.obs {
-		for i := 0; i < n; i++ {
-			if tr.FailStopped(PartyID(i + 1)) {
-				continue
-			}
-			for _, m := range e.inboxes[i] {
+		for i, inbox := range e.inboxes {
+			for _, m := range inbox {
 				o.MessageDelivered(r, PartyID(i+1), m)
 			}
 		}
 	}
 
-	// Honest parties move first. Fail-stopped parties stay silent, the
-	// same silence an abort adversary produces after round FailStops[id].
+	// Honest parties move first.
 	honestOut := e.honestOut[:0]
 	rushed := e.rushed[:0]
-	for i := 0; i < n; i++ {
-		id := PartyID(i + 1)
-		if e.isCorrupt[i] || tr.FailStopped(id) {
+	for i, m := range e.machines {
+		if e.isCorrupt[i] {
 			continue
 		}
-		out, err := e.backend.PartyRound(id, r, e.inboxes[i])
+		id := PartyID(i + 1)
+		out, err := m.Round(r, e.inboxes[i])
 		if err != nil {
 			return fmt.Errorf("sim: party %d round %d: %w", id, r, err)
 		}
@@ -699,16 +558,15 @@ func (e *Execution) Finalize() (*Trace, error) {
 	}
 	tr, n := e.trace, e.n
 
-	// Compute the defaulted output w.r.t. the final deviating set:
-	// corrupted parties and fail-stopped parties alike are the ones whose
-	// inputs surviving honest parties replace with defaults.
+	// Compute the defaulted output w.r.t. the final corrupted set: the
+	// parties whose inputs honest parties replace with defaults.
 	// Two common cases reuse an output already computed on the same
-	// inputs: nobody deviated (f on the true inputs), or the deviating
-	// set is the one the setup abort already defaulted.
+	// inputs: nobody was corrupted (f on the true inputs), or the
+	// corrupted set is the one the setup abort already defaulted.
 	switch {
-	case len(e.corrupted) == 0 && len(tr.FailStops) == 0:
+	case len(e.corrupted) == 0:
 		tr.DefaultedOutput = e.trueOut
-	case tr.SetupAborted && len(e.corrupted) == e.setupCorrupted && len(tr.FailStops) == 0:
+	case tr.SetupAborted && len(e.corrupted) == e.setupCorrupted:
 		tr.DefaultedOutput = tr.ExpectedOutput
 	default:
 		defaulted := append(e.finalDefaults[:0], e.inputs...)
@@ -716,26 +574,20 @@ func (e *Execution) Finalize() (*Trace, error) {
 		for _, id := range e.corrupted {
 			defaulted[id-1] = e.proto.DefaultInput(id)
 		}
-		for id := range tr.FailStops {
-			defaulted[id-1] = e.proto.DefaultInput(id)
-		}
 		tr.DefaultedOutput = e.proto.Func(defaulted)
 	}
 
-	// Collect honest outputs and audit data. Fail-stopped parties are
-	// gone — they produce no output, like a corrupted aborter.
-	for i := 0; i < n; i++ {
-		id := PartyID(i + 1)
-		if e.isCorrupt[i] || tr.FailStopped(id) {
+	// Collect honest outputs and audit data.
+	for i, m := range e.machines {
+		if e.isCorrupt[i] {
 			continue
 		}
-		rec, err := e.backend.PartyOutput(id)
-		if err != nil {
-			return nil, fmt.Errorf("sim: output of party %d: %w", id, err)
-		}
+		id := PartyID(i + 1)
+		v, ok := m.Output()
+		rec := OutputRecord{Value: v, OK: ok}
 		tr.HonestOutputs[id] = rec
-		if v, ok := e.backend.AuditInfo(id); ok {
-			tr.HonestAudits[id] = v
+		if ap, ok := m.(AuditedParty); ok {
+			tr.HonestAudits[id] = ap.AuditInfo()
 		}
 		for _, o := range e.obs {
 			o.OutputProduced(id, rec)

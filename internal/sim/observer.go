@@ -61,21 +61,6 @@ type Observer interface {
 	RunFinished(tr *Trace)
 }
 
-// FailStopObserver is an optional Observer extension receiving
-// fail-stop abort events (Execution.FailStop): an honest party removed
-// from the run by an unrecoverable infrastructure failure. It is a
-// separate interface — not part of Observer — because fail-stops only
-// occur in executions driven by a fallible transport; the in-memory
-// engine's event stream (and its frozen parity contract) is unchanged.
-// The event fires between RoundEnded(round) and the next RoundStarted
-// when the transport detects the loss after a Step, or after
-// SetupFinished with round 0 for setup-phase losses.
-type FailStopObserver interface {
-	// PartyFailStopped reports party id fail-stopping: detected in wire
-	// round round (0 = setup phase), with a canonical cause description.
-	PartyFailStopped(round int, id PartyID, cause string)
-}
-
 // NopObserver implements Observer with no-ops; embed it to implement
 // only the events of interest.
 type NopObserver struct{}
@@ -130,15 +115,9 @@ type Metrics struct {
 	Corruptions int64
 	// SetupAborts counts runs whose hybrid setup the adversary aborted.
 	SetupAborts int64
-	// FailStops counts fail-stop aborts: honest parties removed from a
-	// run by unrecoverable infrastructure failures (Execution.FailStop).
-	FailStops int64
 }
 
-var (
-	_ Observer         = (*Metrics)(nil)
-	_ FailStopObserver = (*Metrics)(nil)
-)
+var _ Observer = (*Metrics)(nil)
 
 // Add accumulates another metrics value into m.
 func (m *Metrics) Add(o Metrics) {
@@ -149,7 +128,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.Deliveries += o.Deliveries
 	m.Corruptions += o.Corruptions
 	m.SetupAborts += o.SetupAborts
-	m.FailStops += o.FailStops
 }
 
 // RunStarted implements Observer.
@@ -190,6 +168,3 @@ func (m *Metrics) OutputProduced(PartyID, OutputRecord) {}
 
 // RunFinished implements Observer.
 func (m *Metrics) RunFinished(*Trace) { m.Runs++ }
-
-// PartyFailStopped implements FailStopObserver.
-func (m *Metrics) PartyFailStopped(int, PartyID, string) { m.FailStops++ }

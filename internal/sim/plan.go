@@ -33,19 +33,25 @@ import (
 // runner then raises that stream's pre-draw for subsequent runs.
 
 // execStreams bundles the slab sources behind a plan-driven Execution's
-// engine streams (the party streams live in the backend).
+// RNG streams: the engine's three and one per party (index id-1).
 type execStreams struct {
 	master *rng.SlabSource
 	proto  *rng.SlabSource
 	adv    *rng.SlabSource
+	party  []*rng.SlabSource
 }
 
-func newExecStreams() *execStreams {
-	return &execStreams{
+func newExecStreams(n int) *execStreams {
+	st := &execStreams{
 		master: rng.NewSlabSource(),
 		proto:  rng.NewSlabSource(),
 		adv:    rng.NewSlabSource(),
+		party:  make([]*rng.SlabSource, n),
 	}
+	for i := range st.party {
+		st.party[i] = rng.NewSlabSource()
+	}
+	return st
 }
 
 // Plan is the compiled per-pair schedule: the structure of one
@@ -157,10 +163,8 @@ func CompilePlan(proto Protocol, adv Adversary) (*Plan, error) {
 		inputs[i] = proto.DefaultInput(PartyID(i + 1))
 	}
 
-	backend := newSlabBackend(proto)
-	e := newExecutionShell(proto, backend)
-	st := newExecStreams()
-	e.streams = st
+	e := newExecutionShell(proto, true)
+	st := e.streams
 	rec := &planRecorder{n: n, laneCap: make([]int, n), laneCur: make([]int, n)}
 
 	if err := e.reset(inputs, adv, planProbeSeed, []Observer{rec}); err != nil {
@@ -191,7 +195,7 @@ func CompilePlan(proto Protocol, adv Adversary) (*Plan, error) {
 		advDraws:     st.adv.Served(),
 		partyDraws:   make([]int, n),
 	}
-	for i, src := range backend.sources {
+	for i, src := range st.party {
 		p.partyDraws[i] = src.Served()
 	}
 	return p, nil
@@ -209,10 +213,8 @@ func CompilePlan(proto Protocol, adv Adversary) (*Plan, error) {
 // A PlanRunner is not safe for concurrent use; the parallel estimator
 // builds one per worker from a shared Plan.
 type PlanRunner struct {
-	plan    *Plan
-	exec    *Execution
-	streams *execStreams
-	backend *localBackend
+	plan *Plan
+	exec *Execution
 
 	// Adaptive per-stream pre-draw sizes, seeded from the plan and
 	// raised whenever a run overdraws its slab.
@@ -223,10 +225,7 @@ type PlanRunner struct {
 
 // NewPlanRunner builds a runner for the plan.
 func NewPlanRunner(plan *Plan) *PlanRunner {
-	backend := newSlabBackend(plan.proto)
-	e := newExecutionShell(plan.proto, backend)
-	st := newExecStreams()
-	e.streams = st
+	e := newExecutionShell(plan.proto, true)
 
 	// Pre-size the message lanes and send buffers to the recorded
 	// shapes, so even the first runs grow nothing.
@@ -243,8 +242,6 @@ func NewPlanRunner(plan *Plan) *PlanRunner {
 	return &PlanRunner{
 		plan:      plan,
 		exec:      e,
-		streams:   st,
-		backend:   backend,
 		protoWant: plan.protoDraws,
 		advWant:   plan.advDraws,
 		partyWant: append([]int(nil), plan.partyDraws...),
@@ -253,9 +250,10 @@ func NewPlanRunner(plan *Plan) *PlanRunner {
 
 // Run executes one planned run. See Arena.Run for the contract.
 func (p *PlanRunner) Run(inputs []Value, adv Adversary, seed int64, obs ...Observer) (*Trace, error) {
-	p.streams.proto.SetWant(p.protoWant)
-	p.streams.adv.SetWant(p.advWant)
-	for i, src := range p.backend.sources {
+	st := p.exec.streams
+	st.proto.SetWant(p.protoWant)
+	st.adv.SetWant(p.advWant)
+	for i, src := range st.party {
 		src.SetWant(p.partyWant[i])
 	}
 
@@ -278,13 +276,13 @@ func (p *PlanRunner) Run(inputs []Value, adv Adversary, seed int64, obs ...Obser
 
 	// Adaptive refinement: a stream that overdrew its slab paid one full
 	// reseed this run; raise its pre-draw so subsequent runs do not.
-	if s := p.streams.proto.Served(); s > p.protoWant {
+	if s := st.proto.Served(); s > p.protoWant {
 		p.protoWant = s
 	}
-	if s := p.streams.adv.Served(); s > p.advWant {
+	if s := st.adv.Served(); s > p.advWant {
 		p.advWant = s
 	}
-	for i, src := range p.backend.sources {
+	for i, src := range st.party {
 		if s := src.Served(); s > p.partyWant[i] {
 			p.partyWant[i] = s
 		}

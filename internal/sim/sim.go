@@ -194,7 +194,7 @@ func CloneAdversary(adv Adversary) (Adversary, bool) {
 // successful Reinit must leave the machine observably indistinguishable
 // from one freshly built by Protocol.NewParty with the same arguments.
 // Returning false declines (wrong setup-output shape, incompatible
-// parameters); the backend then falls back to NewParty, so declining is
+// parameters); the engine then falls back to NewParty, so declining is
 // always safe.
 type ReusableParty interface {
 	Reinit(id PartyID, input Value, setupOut Value, setupAborted bool, rng *rand.Rand) bool
@@ -277,22 +277,6 @@ type OutputRecord struct {
 	OK    bool // false = ⊥
 }
 
-// FailStopInfo records one fail-stop abort: an honest party that stopped
-// participating because of an unrecoverable infrastructure failure (a
-// crashed client, an exhausted reconnect budget). The engine degrades
-// the failure into the model's abort adversary — the party falls silent
-// and surviving honest parties substitute its default input — so the
-// fairness machinery prices real faults exactly like adversarial aborts
-// instead of erroring out.
-type FailStopInfo struct {
-	// Round is the wire round the failure was detected in (0 = during
-	// the setup phase).
-	Round int
-	// Cause is a canonical, deterministic description of the failure
-	// ("connection lost; no resume within 150ms", …).
-	Cause string
-}
-
 // Trace records everything the fairness classifier needs about one run.
 type Trace struct {
 	ProtocolName string
@@ -328,11 +312,6 @@ type Trace struct {
 	SetupAborted  bool
 	Corrupted     map[PartyID]bool
 	HonestOutputs map[PartyID]OutputRecord
-	// FailStops records parties converted into fail-stop aborts by
-	// infrastructure failures (nil when none occurred). Fail-stopped
-	// parties are neither corrupted nor honest: they produce no output,
-	// and the classifier counts them as abort-adversary corruptions.
-	FailStops map[PartyID]FailStopInfo
 	// AdvLearned is the engine-verified flag that the adversary's view
 	// determined the output; AdvValue is the learned value.
 	AdvLearned bool
@@ -349,27 +328,6 @@ type Trace struct {
 
 // NumCorrupted returns t, the corruption count.
 func (tr *Trace) NumCorrupted() int { return len(tr.Corrupted) }
-
-// FailStopped reports whether party id fail-stopped during the run.
-func (tr *Trace) FailStopped(id PartyID) bool {
-	_, ok := tr.FailStops[id]
-	return ok
-}
-
-// NumDeviating returns the number of parties that deviated from the
-// protocol: corrupted by the adversary or fail-stopped by an
-// infrastructure failure. This is the effective t the fail-stop-to-abort
-// degradation prices runs with — a crashed party is indistinguishable
-// from a corrupted party that aborted at the same round.
-func (tr *Trace) NumDeviating() int {
-	n := len(tr.Corrupted)
-	for id := range tr.FailStops {
-		if !tr.Corrupted[id] {
-			n++
-		}
-	}
-	return n
-}
 
 // AllHonestDelivered reports whether every honest party produced a
 // simulatable output: either all got the expected output, or all got the

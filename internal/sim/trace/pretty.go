@@ -71,16 +71,7 @@ func FormatLine(l Line) string {
 			return fmt.Sprintf("%s output p%d = ⊥", tag, l.Party)
 		}
 		return fmt.Sprintf("%s output p%d = %s", tag, l.Party, l.Value)
-	case "failstop":
-		if l.Round == 0 {
-			return fmt.Sprintf("%s ✖ p%d FAIL-STOP during setup (%s)", tag, l.Party, l.Cause)
-		}
-		return fmt.Sprintf("%s ✖ p%d FAIL-STOP at round %d (%s)", tag, l.Party, l.Round, l.Cause)
 	case "run_end":
-		if l.FailStops > 0 {
-			return fmt.Sprintf("%s ■ rounds=%d corrupted=%d failstops=%d learned=%v breach=%v",
-				tag, l.Rounds, l.Corrupted, l.FailStops, l.Learned, l.Breach)
-		}
 		return fmt.Sprintf("%s ■ rounds=%d corrupted=%d learned=%v breach=%v",
 			tag, l.Rounds, l.Corrupted, l.Learned, l.Breach)
 	default:

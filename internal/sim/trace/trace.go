@@ -78,10 +78,6 @@ type Line struct {
 	Learned   bool `json:"learned,omitempty"`
 	Breach    bool `json:"breach,omitempty"`
 	Corrupted int  `json:"corrupted,omitempty"`
-	// Cause is the canonical failure description (failstop lines);
-	// FailStops counts fail-stopped parties (run_end lines).
-	Cause     string `json:"cause,omitempty"`
-	FailStops int    `json:"failstops,omitempty"`
 }
 
 // render stringifies a protocol value for the transcript. Machines send
@@ -118,10 +114,7 @@ type Recorder struct {
 	sink  *Sink
 }
 
-var (
-	_ sim.Observer         = (*Recorder)(nil)
-	_ sim.FailStopObserver = (*Recorder)(nil)
-)
+var _ sim.Observer = (*Recorder)(nil)
 
 // NewRecorder returns a standalone Recorder for one run.
 func NewRecorder(meta Meta) *Recorder { return &Recorder{meta: meta} }
@@ -191,12 +184,6 @@ func (r *Recorder) OutputProduced(id sim.PartyID, rec sim.OutputRecord) {
 	r.add(Line{Type: "output", Party: int(id), OK: rec.OK, Value: render(rec.Value)})
 }
 
-// PartyFailStopped implements sim.FailStopObserver: a party removed
-// from the run by an unrecoverable infrastructure failure.
-func (r *Recorder) PartyFailStopped(round int, id sim.PartyID, cause string) {
-	r.add(Line{Type: "failstop", Round: round, Party: int(id), Cause: cause})
-}
-
 // RunFinished implements sim.Observer.
 func (r *Recorder) RunFinished(tr *sim.Trace) {
 	r.add(Line{
@@ -205,7 +192,6 @@ func (r *Recorder) RunFinished(tr *sim.Trace) {
 		Learned:   tr.AdvLearned,
 		Breach:    tr.PrivacyBreach,
 		Corrupted: tr.NumCorrupted(),
-		FailStops: len(tr.FailStops),
 	})
 	if r.sink != nil {
 		r.sink.flush(r.lines)

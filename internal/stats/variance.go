@@ -2,7 +2,7 @@ package stats
 
 // This file holds the paired-difference (common random numbers)
 // estimator: it reduces the half-width of a certified comparison without
-// touching its mean's correctness — see DESIGN.md §11 for when the lever
+// touching its mean's correctness — see DESIGN.md §10 for when the lever
 // is sound.
 
 import (
