@@ -405,6 +405,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// sweepSpecJSON is a valid one-family sweep spec with extra appended
+// as its last field(s).
+func sweepSpecJSON(extra string) string {
+	return `{"Families":["pi1"],"Gammas":[{"G00":0,"G01":0,"G10":1,"G11":0.5}],"Ns":[2],"Runs":60,"Seed":7,` + extra + `}`
+}
+
 // TestBadRequests pins the error surface.
 func TestBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t)
@@ -418,6 +424,11 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/estimate", `{"bogus_field":1}`, 400},
 		{"/v1/estimate", `not json`, 400},
 		{"/v1/sup", `{"proto":"pi1","advs":[],"runs":10,"seed":1}`, 400},
+		// Removed fields fail loudly instead of being silently ignored.
+		{"/v1/search", `{"proto":"pi1","seed":1,"paired_seeds":true}`, 400},
+		{"/v1/sweep", `{"spec":` + sweepSpecJSON(`"PairedSeeds":true`) + `}`, 400},
+		// A false-breach budget of 1 or more certifies nothing.
+		{"/v1/sweep", `{"spec":` + sweepSpecJSON(`"Delta":2`) + `}`, 400},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))

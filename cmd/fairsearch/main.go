@@ -64,8 +64,6 @@ func run(args []string) error {
 		Parallel:  true,
 	})
 	sf := cliflags.RegisterSearch(fs)
-	paired := fs.Bool("paired-seeds", false,
-		"race arms on common random numbers (CRN): paired eliminations kill dominated arms earlier; changes report bytes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -94,7 +92,7 @@ func run(args []string) error {
 		Wave: *wave, Growth: *growth,
 		RaceRuns: est.Sup, FinalRuns: est.Runs,
 		Delta: sf.ElimDelta, MaxArms: sf.Arms,
-		Exhaustive: *exhaustive, PairedSeeds: *paired, Seed: est.Seed,
+		Exhaustive: *exhaustive, Seed: est.Seed,
 	}, opts...)
 	if err != nil {
 		return err

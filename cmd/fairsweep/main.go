@@ -7,9 +7,12 @@
 //
 // Usage:
 //
-//	fairsweep [-checkpoint F] [-families LIST] [-n LIST] [-t LIST] [-p LIST]
-//	          [-runs N | -target-hw W -delta D] [-sup N] [-slack S]
-//	          [-seed S] [-parallel P] [-no-abort-sweep] [-quiet] [-v]
+//	fairsweep [-checkpoint F] [-families LIST] [-gammas LIST] [-n LIST]
+//	          [-t LIST] [-p LIST] [-costs LIST]
+//	          [-runs N | -target-hw W -delta D -max-runs N]
+//	          [-sup N] [-sup-search] [-slack S] [-control-variate]
+//	          [-seed S] [-parallel P] [-no-compiled-plans]
+//	          [-no-abort-sweep] [-quiet] [-v]
 //
 // With -checkpoint, every record is streamed to a JSONL file as it is
 // produced; re-running the same command against an existing checkpoint
@@ -171,9 +174,6 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	}
 	if *noAbort {
 		spec.AbortSweep = false
-	}
-	if vr.PairedSeeds {
-		spec.PairedSeeds = true
 	}
 	if vr.ControlVariates {
 		spec.ControlVariates = true

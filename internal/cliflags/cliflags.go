@@ -1,10 +1,10 @@
 // Package cliflags centralizes the flag surface shared by the fairness
 // commands (fairness, fairsim, fairsweep, fairsearch) and the fairnessd
 // daemon: Monte-Carlo effort (-runs, -sup), seeding (-seed), estimator
-// parallelism (-parallel), transcript capture (-trace), and the search
-// and variance-reduction blocks. One registration helper means one set
-// of defaults and one explicit-zero semantics (the fs.Visit idiom)
-// instead of a copy per command.
+// parallelism (-parallel), transcript capture (-trace), the search
+// block, and the control-variate flag. One registration helper means
+// one set of defaults and one explicit-zero semantics (the fs.Visit
+// idiom) instead of a copy per command.
 package cliflags
 
 import "flag"
@@ -122,16 +122,11 @@ func RegisterSearch(fs *flag.FlagSet) *Search {
 	return s
 }
 
-// Variance is the parsed shared variance-reduction flag block used by
-// fairsweep and fairsearch: the statistical levers of DESIGN.md §10.
-// Both are off by default; with both off every record and report is
-// byte-identical to the frozen matrices.
+// Variance is the parsed variance-reduction flag block used by
+// fairsweep: the control-variate lever of DESIGN.md §10. It is off by
+// default; with it off every record is byte-identical to the frozen
+// matrices.
 type Variance struct {
-	// PairedSeeds enables common-random-numbers run seeding
-	// (-paired-seeds): cells or racing arms share per-run coin
-	// sequences, so cross-cell deltas and racing eliminations certify
-	// from paired differences at far fewer runs.
-	PairedSeeds bool
 	// ControlVariates enables exact-residual estimation
 	// (-control-variate) on cells backed by an exact law (the
 	// Gordon–Katz first-hit cells).
@@ -141,8 +136,6 @@ type Variance struct {
 // RegisterVariance registers the variance-reduction flag block on fs.
 func RegisterVariance(fs *flag.FlagSet) *Variance {
 	v := &Variance{}
-	fs.BoolVar(&v.PairedSeeds, "paired-seeds", false,
-		"pair run seeds across cells/arms (common random numbers): adds certified delta records, changes record bytes")
 	fs.BoolVar(&v.ControlVariates, "control-variate", false,
 		"estimate only the residual against exact laws where one exists (Gordon–Katz first-hit): changes record bytes")
 	return v

@@ -17,25 +17,20 @@ import (
 // uses one worker per CPU, the default batch size, and no observers;
 // results are independent of every scheduling option (see
 // EstimateUtility), so those options tune performance and
-// instrumentation, never the estimate. The only exceptions are the
-// explicitly statistical options in variance.go — WithControlVariate
-// and WithPairedSeeds — which change the estimator or the coin
-// sequences by design and are all off by default.
+// instrumentation, never the estimate. The one exception is the
+// explicitly statistical WithControlVariate in variance.go, which
+// changes the estimator by design and is off by default.
 type Option func(*options)
 
 type options struct {
-	parallelism  int
-	batchSize    int
-	factory      ObserverFactory
-	supFactory   SupObserverFactory
-	metrics      *sim.Metrics
-	noCompiled   bool
-	samplerInto  InputSamplerInto
-	cv           *ControlVariate
-	paired       bool
-	pairedMaster int64
-	pairedOffset int
-	eventLog     []Event
+	parallelism int
+	batchSize   int
+	factory     ObserverFactory
+	supFactory  SupObserverFactory
+	metrics     *sim.Metrics
+	noCompiled  bool
+	samplerInto InputSamplerInto
+	cv          *ControlVariate
 }
 
 // WithParallelism sets the worker count: 1 forces a single worker,
@@ -123,13 +118,6 @@ type preparedRun struct {
 // time under the lock, so run i receives the same job no matter how
 // many workers lease batches or in what order they arrive — without
 // materializing an O(runs) job slice up front.
-//
-// In paired (common-random-numbers) mode the single sequential stream
-// is replaced by one per-run stream per job: the reusable source is
-// reseeded to PairedRunSeed(master, offset + i) and the run's inputs
-// and simulation seed are drawn from it, so run i's coins depend only
-// on (master, offset + i) — never on the estimation's own seed or on
-// how many runs precede it in this estimation.
 type batcher struct {
 	mu          sync.Mutex
 	seeder      *rand.Rand
@@ -137,12 +125,6 @@ type batcher struct {
 	samplerInto InputSamplerInto
 	next        int
 	runs        int
-
-	paired bool
-	master int64
-	offset int
-	src    *rng.Source
-	prng   *rand.Rand
 }
 
 // fill leases the next batch into buf (up to cap(buf) jobs), returning
@@ -159,17 +141,12 @@ func (b *batcher) fill(buf []preparedRun) (int, []preparedRun) {
 	}
 	buf = buf[:k]
 	for i := range buf {
-		draw := b.seeder
-		if b.paired {
-			b.src.Seed(PairedRunSeed(b.master, b.offset+base+i))
-			draw = b.prng
-		}
 		if b.samplerInto != nil {
-			buf[i].inputs = b.samplerInto(draw, buf[i].inputs[:0])
+			buf[i].inputs = b.samplerInto(b.seeder, buf[i].inputs[:0])
 		} else {
-			buf[i].inputs = b.sampler(draw)
+			buf[i].inputs = b.sampler(b.seeder)
 		}
-		buf[i].seed = draw.Int63()
+		buf[i].seed = b.seeder.Int63()
 	}
 	b.next += k
 	return base, buf
@@ -276,11 +253,9 @@ type simRunner interface {
 // per-run allocation), and keep integer outcome tallies that merge
 // order-independently into the report.
 //
-// The statistical options are the deliberate exception to that purity:
-// WithPairedSeeds swaps the (runs, seed) coin stream for a shared
-// common-random-numbers master stream, and WithControlVariate changes
-// the estimator itself (same expectation, smaller variance). Both are
-// off by default; with them off the report stays byte-identical to the
+// WithControlVariate is the deliberate exception to that purity: it
+// changes the estimator itself (same expectation, smaller variance). It
+// is off by default; with it off the report stays byte-identical to the
 // frozen contract.
 func EstimateUtility(proto sim.Protocol, adv sim.Adversary, gamma Payoff,
 	sampler InputSampler, runs int, seed int64, opts ...Option) (UtilityReport, error) {
@@ -331,14 +306,6 @@ func EstimateUtility(proto sim.Protocol, adv sim.Adversary, gamma Payoff,
 	}
 
 	b := &batcher{seeder: rng.New(seed), sampler: sampler, samplerInto: o.samplerInto, runs: runs}
-	if o.paired {
-		b.paired, b.master, b.offset = true, o.pairedMaster, o.pairedOffset
-		b.src = rng.NewSource(0)
-		b.prng = rand.New(b.src)
-	}
-	if o.eventLog != nil && len(o.eventLog) < runs {
-		return UtilityReport{}, fmt.Errorf("core: event log holds %d slots for %d runs", len(o.eventLog), runs)
-	}
 	tallies := make([]runTally, workers)
 	workerMetrics := make([]sim.Metrics, workers)
 	errLists := make([][]runError, workers)
@@ -370,12 +337,7 @@ func EstimateUtility(proto sim.Protocol, adv sim.Adversary, gamma Payoff,
 					}
 					tr, err := arena.Run(jobs[j].inputs, worker, jobs[j].seed, obs...)
 					if err == nil {
-						oc := Classify(tr)
-						if err = tallies[w].add(oc); err == nil {
-							if o.eventLog != nil {
-								o.eventLog[i] = oc.Event
-							}
-						}
+						err = tallies[w].add(Classify(tr))
 					}
 					if err != nil {
 						errLists[w] = append(errLists[w], runError{run: i, err: err})

@@ -1,17 +1,13 @@
 package search_test
 
-// Frozen-report determinism contract for the search engine: with the
-// variance-reduction options off, the full report must stay
-// byte-identical to the fixture generated before CRN racing existed —
-// the tripwire that keeps paired eliminations strictly opt-in. The
-// paired mode itself is pinned the other way: it must certify the same
-// winner at the same final estimate, because the final certification
-// always runs on the canonical unpaired arm seed.
+// Frozen-report determinism contract for the search engine: the full
+// report must stay byte-identical to the fixture generated by the
+// pre-variance engine — the tripwire that catches any drift in the
+// racing schedule, the elimination rule or the coin streams.
 
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,101 +53,5 @@ func TestFrozenReportByteIdentical(t *testing.T) {
 			}
 		}
 		t.Fatalf("report length drifted: got %d lines, frozen report has %d", len(gotLines), len(wantLines))
-	}
-}
-
-// TestPairedSearchAgreesWithUnpaired: CRN racing changes which runs
-// are simulated and when arms die, never a certified estimate. The
-// space holds several exactly-optimal strategies (any 2SFE abort at
-// the reveal round earns (γ10+γ11)/2), so the winner's identity may
-// legitimately resolve a tie differently under different coin streams
-// — what must hold is that the paired winner's certification is
-// bit-identical to the unpaired exhaustive comparator's estimate of
-// that same arm, and that the two winners are statistically tied.
-func TestPairedSearchAgreesWithUnpaired(t *testing.T) {
-	plain, err := frozenSearch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto := twoparty.New(twoparty.Swap())
-	space := core.SliceSpace(adversary.TwoPartySpace(proto.NumRounds()))
-	paired, err := search.Run(proto, space, core.StandardPayoff(), uniform2(1<<20), 11,
-		search.Options{Wave: 30, RaceRuns: 120, FinalRuns: 300, PairedSeeds: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exhaustive, err := search.Run(proto, space, core.StandardPayoff(), uniform2(1<<20), 11,
-		search.Options{Wave: 30, RaceRuns: 120, FinalRuns: 300, Exhaustive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	certified := map[string]float64{}
-	for _, a := range exhaustive.Arms {
-		certified[a.Name] = a.Mean
-	}
-	if got, want := paired.BestReport.Utility.Mean, certified[paired.Best]; got != want {
-		t.Errorf("paired winner %q certifies %v, exhaustive comparator says %v — certification must stay canonical",
-			paired.Best, got, want)
-	}
-	if got, want := plain.BestReport.Utility.Mean, certified[plain.Best]; got != want {
-		t.Errorf("plain winner %q certifies %v, exhaustive comparator says %v", plain.Best, got, want)
-	}
-	tie := paired.BestReport.Utility.HalfWidth + plain.BestReport.Utility.HalfWidth
-	if diff := math.Abs(paired.BestReport.Utility.Mean - plain.BestReport.Utility.Mean); diff > tie {
-		t.Errorf("paired winner %q (%v) and plain winner %q (%v) are not statistically tied (diff %v > %v)",
-			paired.Best, paired.BestReport.Utility.Mean, plain.Best, plain.BestReport.Utility.Mean, diff, tie)
-	}
-	if paired.Params == plain.Params {
-		t.Error("paired params string must differ (the cache key covers the option)")
-	}
-}
-
-// TestPairedSearchResumeByteIdentity: a paired search interrupted at a
-// record boundary resumes to a byte-identical checkpoint — the replay
-// path re-simulates waves only to recover the per-run event logs, while
-// the replayed counts stay authoritative.
-func TestPairedSearchResumeByteIdentity(t *testing.T) {
-	proto := twoparty.New(twoparty.Swap())
-	space := core.SliceSpace(adversary.TwoPartySpace(proto.NumRounds()))
-	o := search.Options{Wave: 30, RaceRuns: 120, FinalRuns: 300, PairedSeeds: true}
-	dir := t.TempDir()
-
-	full := filepath.Join(dir, "full.jsonl")
-	o.Checkpoint = full
-	want, err := search.Run(proto, space, core.StandardPayoff(), uniform2(1<<20), 11, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(wantBytes, []byte("\n"))
-	if len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1]
-	}
-	if len(lines) < 6 {
-		t.Fatalf("checkpoint too small to cut: %d lines", len(lines))
-	}
-	for _, cut := range []int{1, len(lines) / 2, len(lines) - 1} {
-		partial := filepath.Join(dir, "partial.jsonl")
-		if err := os.WriteFile(partial, bytes.Join(lines[:cut], nil), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		o.Checkpoint = partial
-		got, err := search.Run(proto, space, core.StandardPayoff(), uniform2(1<<20), 11, o)
-		if err != nil {
-			t.Fatalf("resume from %d lines: %v", cut, err)
-		}
-		gotBytes, err := os.ReadFile(partial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotBytes, wantBytes) {
-			t.Errorf("resume from %d lines: paired checkpoint bytes differ from uninterrupted run", cut)
-		}
-		if got.Best != want.Best {
-			t.Errorf("resume from %d lines: winner %q, want %q", cut, got.Best, want.Best)
-		}
 	}
 }

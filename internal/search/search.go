@@ -73,19 +73,6 @@ type Options struct {
 	// FinalRuns on its arm seed. This is the ground-truth comparator the
 	// acceptance tests measure savings against.
 	Exhaustive bool
-	// PairedSeeds races the arms on common random numbers
-	// (core.WithPairedSeeds): run i of every arm's racing waves draws its
-	// coins from a search-wide master stream keyed by the cumulative run
-	// index alone, so arms' runs pair index by index and a second
-	// elimination rule applies — an arm whose paired deficit against the
-	// leader (stats.PairedEstimateZ over the common run prefix) is
-	// certifiably positive is killed even while both Wilson intervals
-	// still overlap. The winner's certification estimate stays on the
-	// canonical unpaired arm seed, so the final report remains
-	// byte-comparable with the exhaustive evaluation. A statistical knob:
-	// it changes racing coin sequences (and hence racing records), never
-	// the certification semantics; off by default, byte-identical off.
-	PairedSeeds bool
 
 	// Parallelism is the worker count inside each arm estimate (<= 0
 	// selects the estimator default).
@@ -220,14 +207,9 @@ func baseParams(protoName, space string, gamma core.Payoff) string {
 // keys its result cache with KeyHash over exactly this string.
 func ParamString(protoName, space string, gamma core.Payoff, o Options) string {
 	o = o.withDefaults()
-	s := fmt.Sprintf("%s|wave=%d|growth=%d|race=%d|final=%d|delta=%g|arms=%d|exh=%t",
+	return fmt.Sprintf("%s|wave=%d|growth=%d|race=%d|final=%d|delta=%g|arms=%d|exh=%t",
 		baseParams(protoName, space, gamma),
 		o.Wave, o.Growth, o.RaceRuns, o.FinalRuns, o.Delta, o.MaxArms, o.Exhaustive)
-	// Appended only when set, so every pre-CRN cache key is unchanged.
-	if o.PairedSeeds {
-		s += "|crn=true"
-	}
-	return s
 }
 
 // arm is the engine's per-arm state.
@@ -246,10 +228,6 @@ type arm struct {
 	wave   int
 	by     string
 	active bool
-	// vals holds the per-run payoff sequence in paired order (CRN racing
-	// only): vals[i] is the payoff of master-stream run i, so two arms'
-	// vals pair index by index over their common prefix.
-	vals []float64
 }
 
 type engine struct {
@@ -266,9 +244,6 @@ type engine struct {
 	em      *emitter
 	metrics sim.Metrics
 	total   int64
-	// paired/master configure CRN racing (Options.PairedSeeds).
-	paired bool
-	master int64
 }
 
 // Run executes a best-response search over the space. See the package
@@ -326,19 +301,10 @@ func RunContext(ctx context.Context, proto sim.Protocol, space core.StrategySpac
 	}
 
 	// Union-bound accounting: at most one interval check per arm per
-	// wave, plus the admission pass and the final certificate. CRN racing
-	// adds a second (paired) elimination check per arm per wave, so the
-	// per-check budget halves to keep the joint guarantee.
+	// wave, plus the admission pass and the final certificate.
 	checks := len(e.arms) * (o.maxWaves() + 2)
-	if o.PairedSeeds {
-		checks *= 2
-	}
 	deltaPrime := o.Delta / float64(checks)
 	e.z = stats.ZQuantile(deltaPrime)
-	if o.PairedSeeds {
-		e.paired = true
-		e.master = int64(keyHash(base+"|crn", seed) &^ (1 << 63))
-	}
 
 	// Checkpointing: create fresh, or resume an existing stream. A file
 	// that exists but belongs to a different search is an error, never
@@ -421,9 +387,8 @@ func (e *engine) interval(a *arm) error {
 }
 
 // estimate runs `runs` fresh simulations of the arm at the given seed
-// and returns the outcome counts. extra appends caller options (the
-// CRN racing options of a paired wave).
-func (e *engine) estimate(a *arm, runs int, seed int64, extra ...core.Option) ([4]int64, core.UtilityReport, error) {
+// and returns the outcome counts.
+func (e *engine) estimate(a *arm, runs int, seed int64) ([4]int64, core.UtilityReport, error) {
 	opts := []core.Option{
 		core.WithParallelism(e.o.Parallelism),
 		core.WithMetrics(&e.metrics),
@@ -434,7 +399,6 @@ func (e *engine) estimate(a *arm, runs int, seed int64, extra ...core.Option) ([
 	if e.o.NoCompiledPlans {
 		opts = append(opts, core.WithCompiledPlans(false))
 	}
-	opts = append(opts, extra...)
 	rep, err := core.EstimateUtility(e.proto, a.adv, e.gamma, e.sampler, runs, seed, opts...)
 	if err != nil {
 		return [4]int64{}, core.UtilityReport{}, fmt.Errorf("search: arm %q: %w", a.name, err)
@@ -449,41 +413,15 @@ func (e *engine) estimate(a *arm, runs int, seed int64, extra ...core.Option) ([
 }
 
 // wave runs (or replays) one wave of an arm: addRuns fresh runs at the
-// wave seed, folded into the arm's cumulative counts. In paired (CRN)
-// mode the wave draws its coins from the master stream at the arm's
-// cumulative run offset and logs per-run payoffs into a.vals; a
-// replayed paired wave re-simulates only to recover that log (the
-// replayed counts stay authoritative — the re-measurement is the same
-// deterministic computation, so nothing can disagree).
+// wave seed, folded into the arm's cumulative counts.
 func (e *engine) waveStep(ctx context.Context, a *arm, w, addRuns int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	pairedOpts := func(log []core.Event) []core.Option {
-		return []core.Option{
-			core.WithPairedSeeds(e.master),
-			core.WithPairedOffset(int(a.runs)),
-			core.WithEventLog(log),
-		}
-	}
-	logVals := func(log []core.Event) {
-		for _, ev := range log {
-			a.vals = append(a.vals, e.values[ev-1])
-		}
-	}
 	rec, replayed, err := e.em.step("wave", a.name, w, func() (Record, error) {
-		var extra []core.Option
-		var log []core.Event
-		if e.paired {
-			log = make([]core.Event, addRuns)
-			extra = pairedOpts(log)
-		}
-		counts, _, err := e.estimate(a, addRuns, a.seed+int64(w)*7919, extra...)
+		counts, _, err := e.estimate(a, addRuns, a.seed+int64(w)*7919)
 		if err != nil {
 			return Record{}, err
-		}
-		if e.paired {
-			logVals(log)
 		}
 		for i, c := range counts {
 			a.counts[i] += c
@@ -504,13 +442,6 @@ func (e *engine) waveStep(ctx context.Context, a *arm, w, addRuns int) error {
 		if rec.Runs != addRuns {
 			return fmt.Errorf("search: checkpoint wave %d of %q has %d runs, schedule expects %d", w, a.name, rec.Runs, addRuns)
 		}
-		if e.paired {
-			log := make([]core.Event, rec.Runs)
-			if _, _, err := e.estimate(a, rec.Runs, a.seed+int64(w)*7919, pairedOpts(log)...); err != nil {
-				return err
-			}
-			logVals(log)
-		}
 		for i, c := range rec.Events {
 			a.counts[i] += c
 		}
@@ -521,28 +452,6 @@ func (e *engine) waveStep(ctx context.Context, a *arm, w, addRuns int) error {
 	}
 	e.total += int64(addRuns)
 	return nil
-}
-
-// pairedDominated reports whether the leader's paired per-run advantage
-// over arm a is certifiably positive: the z-widened PairedEstimate of
-// lead − a over the arms' common master-stream prefix lies entirely
-// above 0. Only meaningful under CRN racing (always false otherwise).
-func (e *engine) pairedDominated(lead, a *arm) bool {
-	if !e.paired {
-		return false
-	}
-	m := len(lead.vals)
-	if len(a.vals) < m {
-		m = len(a.vals)
-	}
-	if m < 2 {
-		return false
-	}
-	est, err := stats.PairedEstimateZ(lead.vals[:m], a.vals[:m], e.z)
-	if err != nil {
-		return false
-	}
-	return est.Lo() > 0
 }
 
 // leader returns the active arm with the greatest mean, ties broken in
@@ -612,16 +521,12 @@ func (e *engine) runRacing(ctx context.Context) (*Report, error) {
 			return nil, errors.New("search: no comparable arm (all means NaN)")
 		}
 		// Elimination pass: kill any active arm whose certified upper end
-		// (interval or static bound) falls below the leader's lower end —
-		// or, under CRN racing, whose paired per-run deficit against the
-		// leader is certifiably positive over the common run prefix (the
-		// pairing cancels the shared coin noise, so correlated arms
-		// separate waves earlier than their Wilson intervals do).
+		// (interval or static bound) falls below the leader's lower end.
 		for _, a := range e.arms {
 			if !a.active || a == lead {
 				continue
 			}
-			if math.Min(a.hi, a.bound) < lead.lo || e.pairedDominated(lead, a) {
+			if math.Min(a.hi, a.bound) < lead.lo {
 				lo := lead.lo
 				_, _, err := e.em.step("kill", a.name, w-1, func() (Record, error) {
 					return Record{

@@ -167,11 +167,10 @@ func (p SweepParams) paramString() string {
 	key := fmt.Sprintf("sweep|fam=%v|g=%v|n=%v|t=%v|p=%v|cost=%v|abort=%t|sup=%d|supsearch=%t|runs=%d|hw=%g|delta=%g|min=%d|max=%d|slack=%g",
 		s.Families, gs, s.Ns, s.Ts, s.Ps, s.Costs, s.AbortSweep, s.SupRuns, s.SupSearch,
 		s.Runs, s.TargetHW, s.Delta, s.MinRuns, s.MaxRuns, s.Slack)
-	// The variance-reduction options change record bytes, so they join
-	// the key — but only when set, preserving every pre-existing cache
-	// key byte for byte.
-	if s.PairedSeeds || s.ControlVariates {
-		key += fmt.Sprintf("|paired=%t|cv=%t", s.PairedSeeds, s.ControlVariates)
+	// The control variate changes record bytes, so it joins the key —
+	// but only when set, preserving every option-free cache key.
+	if s.ControlVariates {
+		key += "|cv=true"
 	}
 	return key
 }

@@ -79,11 +79,7 @@ type SearchParams struct {
 	Delta      float64 `json:"delta,omitempty"`
 	MaxArms    int     `json:"max_arms,omitempty"`
 	Exhaustive bool    `json:"exhaustive,omitempty"`
-	// PairedSeeds enables common-random-numbers racing
-	// (search.Options.PairedSeeds). Changes report bytes, so it joins
-	// the cache key via search.ParamString — but only when set.
-	PairedSeeds bool  `json:"paired_seeds,omitempty"`
-	Seed        int64 `json:"seed"`
+	Seed       int64   `json:"seed"`
 }
 
 // Kind implements Params.
@@ -110,7 +106,6 @@ func (p SearchParams) Options() search.Options {
 		Wave: p.Wave, Growth: p.Growth,
 		RaceRuns: p.RaceRuns, FinalRuns: p.FinalRuns,
 		Delta: p.Delta, MaxArms: p.MaxArms, Exhaustive: p.Exhaustive,
-		PairedSeeds: p.PairedSeeds,
 	}
 }
 

@@ -353,3 +353,70 @@ func TestEstimateFromCountsErrors(t *testing.T) {
 		t.Fatal("negative count: expected error")
 	}
 }
+
+// TestEstimateFromCountsSingle pins the streaming form of the n = 1
+// rule: a single tallied sample must report half-width +Inf (no variance
+// information), matching MeanEstimate — the old code divided by n−1 = 0
+// into a NaN that LeqWithin silently treated as certainty.
+func TestEstimateFromCountsSingle(t *testing.T) {
+	est, err := EstimateFromCounts([]float64{0, 0, 1, 0.5}, []int64{0, 0, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Mean != 1 || !math.IsInf(est.HalfWidth, 1) || est.N != 1 {
+		t.Errorf("single tallied sample: got %v ± %v (n=%d), want 1 ± +Inf (n=1)",
+			est.Mean, est.HalfWidth, est.N)
+	}
+	if !est.LeqWithin(2, 0) || !est.GeqWithin(0, 0) {
+		t.Error("an infinite interval must stay consistent with any bound")
+	}
+}
+
+// TestCounterZeroValue: the zero Counter must be ready to use — Add
+// allocates the category map lazily instead of panicking on a nil map.
+func TestCounterZeroValue(t *testing.T) {
+	var c Counter
+	c.Add("E10")
+	c.Add("E10")
+	if c.Total() != 2 || c.Count("E10") != 2 {
+		t.Errorf("zero-value Counter after two Adds: Total=%d Count=%d, want 2/2",
+			c.Total(), c.Count("E10"))
+	}
+}
+
+// TestHoeffdingHalfWidthSaturation pins the out-of-range delta rules:
+// non-positive (and NaN) deltas demand certainty and saturate to +Inf
+// instead of leaking NaN through ln(2/δ), delta ≥ 2 demands nothing and
+// yields 0, and the meaningful range keeps the exact closed form.
+func TestHoeffdingHalfWidthSaturation(t *testing.T) {
+	for _, delta := range []float64{0, -1, math.Inf(-1), math.NaN()} {
+		if hw := HoeffdingHalfWidth(100, delta); !math.IsInf(hw, 1) {
+			t.Errorf("HoeffdingHalfWidth(100, %v) = %v, want +Inf", delta, hw)
+		}
+	}
+	for _, delta := range []float64{2, 3, math.Inf(1)} {
+		if hw := HoeffdingHalfWidth(100, delta); hw != 0 {
+			t.Errorf("HoeffdingHalfWidth(100, %v) = %v, want 0", delta, hw)
+		}
+	}
+	want := math.Sqrt(math.Log(2/0.05) / 200)
+	if hw := HoeffdingHalfWidth(100, 0.05); hw != want {
+		t.Errorf("in-range delta must keep the exact closed form: %v != %v", hw, want)
+	}
+}
+
+// TestBernoulliEstimateClamping: out-of-range success counts saturate to
+// the boundary probability instead of reporting a rate outside [0, 1].
+func TestBernoulliEstimateClamping(t *testing.T) {
+	est, err := BernoulliEstimate(-3, 10)
+	if err != nil || est.Mean != 0 {
+		t.Errorf("BernoulliEstimate(-3, 10) = %v, %v; want mean 0", est.Mean, err)
+	}
+	est, err = BernoulliEstimate(15, 10)
+	if err != nil || est.Mean != 1 {
+		t.Errorf("BernoulliEstimate(15, 10) = %v, %v; want mean 1", est.Mean, err)
+	}
+	if _, err := BernoulliEstimate(5, -1); err != ErrNoSamples {
+		t.Errorf("BernoulliEstimate(5, -1) err = %v, want ErrNoSamples", err)
+	}
+}

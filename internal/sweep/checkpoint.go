@@ -21,12 +21,10 @@ type Check struct {
 	OK     bool    `json:"ok"`
 }
 
-// Record is one checkpoint line: a measured cell ("cell"), an
-// aggregate per-t sum ("sum"), or a paired cross-cell delta ("delta",
-// PairedSeeds sweeps only). Records are pure functions of (Spec,
+// Record is one checkpoint line: a measured cell ("cell") or an
+// aggregate per-t sum ("sum"). Records are pure functions of (Spec,
 // Seed), which is what makes the JSONL stream byte-identical across
-// re-runs and resumes. Pair is set only on delta records (the second
-// member's cell key), so pre-existing record bytes are unchanged.
+// re-runs and resumes.
 type Record struct {
 	Kind      string     `json:"kind"`
 	Key       string     `json:"key"`
@@ -45,7 +43,6 @@ type Record struct {
 	Events    [4]float64 `json:"events,omitempty"`
 	Checks    []Check    `json:"checks"`
 	Note      string     `json:"note,omitempty"`
-	Pair      string     `json:"pair,omitempty"`
 	OK        bool       `json:"ok"`
 }
 
@@ -65,7 +62,7 @@ type header struct {
 const checkpointVersion = 1
 
 // keys returns the planned record keys in checkpoint order: cells, then
-// sums, then deltas.
+// sums.
 func (s *Sweep) keys() []string {
 	keys := make([]string, 0, s.Records())
 	for _, c := range s.Cells {
@@ -73,9 +70,6 @@ func (s *Sweep) keys() []string {
 	}
 	for _, p := range s.Sums {
 		keys = append(keys, p.Key)
-	}
-	for _, d := range s.Deltas {
-		keys = append(keys, d.Key)
 	}
 	return keys
 }

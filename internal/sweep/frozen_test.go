@@ -1,8 +1,8 @@
 package sweep
 
-// Frozen-matrix determinism contract: the variance-reduction options
-// are off by default, and with them off every sweep record must stay
-// byte-identical to the fixture generated before the options existed.
+// Frozen-matrix determinism contract: the variance-reduction option is
+// off by default, and with it off every sweep record must stay
+// byte-identical to the fixture generated before the option existed.
 // These tests are the repository's tripwire against the statistical
 // machinery leaking into the default path — a single drifted byte here
 // means cached results, checkpoints, and cross-version comparisons are
@@ -33,7 +33,7 @@ func frozenSpec() Spec {
 	}
 }
 
-// TestFrozenMatrixByteIdentical replays the fixture grid with every
+// TestFrozenMatrixByteIdentical replays the fixture grid with the
 // variance-reduction option off and demands byte equality, record for
 // record, with the pre-variance output.
 func TestFrozenMatrixByteIdentical(t *testing.T) {
@@ -66,73 +66,50 @@ func TestFrozenMatrixByteIdentical(t *testing.T) {
 	}
 }
 
-// pairedSpec is the frozen grid with CRN pairing and control variates
-// switched on: the gk/firsthit cells at the Gordon–Katz payoff gain
-// certified delta records between consecutive p values.
-func pairedSpec() Spec {
+// cvSpec is the frozen grid with control variates switched on: the
+// gk/firsthit cells estimate only the residual against the exact
+// first-hit law.
+func cvSpec() Spec {
 	spec := frozenSpec()
-	spec.PairedSeeds = true
 	spec.ControlVariates = true
 	return spec
 }
 
-// TestPairedSweepDeltas: with PairedSeeds on, the plan gains delta
-// records pairing neighbouring Gordon–Katz cells, each certified
-// against both monotonicity and the exact first-hit law, and the
-// control-variate cells carry the residual annotation.
-func TestPairedSweepDeltas(t *testing.T) {
-	sw, err := Plan(pairedSpec())
+// TestControlVariateSweepCells: with ControlVariates on, every
+// gk/firsthit cell carries the residual annotation and certifies, and
+// no other cell is touched by the option.
+func TestControlVariateSweepCells(t *testing.T) {
+	sum, err := Run(cvSpec(), "", nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("control-variate sweep breached: %v", err)
 	}
-	if len(sw.Deltas) == 0 {
-		t.Fatal("paired plan has no delta records; want one per consecutive gk p pair")
-	}
-	sum, err := Run(pairedSpec(), "", nil)
-	if err != nil {
-		t.Fatalf("paired sweep breached: %v", err)
-	}
-	if len(sum.Records) != len(sw.Cells)+len(sw.Sums)+len(sw.Deltas) {
-		t.Fatalf("got %d records, want %d cells + %d sums + %d deltas",
-			len(sum.Records), len(sw.Cells), len(sw.Sums), len(sw.Deltas))
-	}
-	var deltas, cvCells int
+	cvCells := 0
 	for _, rec := range sum.Records {
-		switch {
-		case rec.Kind == "delta":
-			deltas++
-			if rec.Pair == "" {
-				t.Errorf("delta record %s has no pair key", rec.Key)
+		hasCV := strings.Contains(rec.Note, "cv=gk-first-hit")
+		if rec.Kind != "cell" || rec.Family != "gk" || rec.Adv != "firsthit" {
+			if hasCV {
+				t.Errorf("record %s (%s %s) carries the control-variate note", rec.Key, rec.Family, rec.Adv)
 			}
-			if len(rec.Checks) != 2 {
-				t.Errorf("delta record %s has %d checks, want nonneg + exact", rec.Key, len(rec.Checks))
-			}
-			for _, c := range rec.Checks {
-				if !c.OK {
-					t.Errorf("delta check %s failed: value %v vs bound %v", c.Name, c.Value, c.Bound)
-				}
-			}
-		case rec.Kind == "cell" && rec.Family == "gk" && rec.Adv == "firsthit":
-			if !strings.Contains(rec.Note, "cv=gk-first-hit") {
-				t.Errorf("gk cell %s lacks the control-variate note: %q", rec.Key, rec.Note)
-			}
-			cvCells++
+			continue
 		}
-	}
-	if deltas != len(sw.Deltas) {
-		t.Errorf("emitted %d delta records, planned %d", deltas, len(sw.Deltas))
+		cvCells++
+		if !hasCV {
+			t.Errorf("gk cell %s lacks the control-variate note: %q", rec.Key, rec.Note)
+		}
+		if !rec.OK {
+			t.Errorf("gk cell %s failed certification: %+v", rec.Key, rec.Checks)
+		}
 	}
 	if cvCells == 0 {
 		t.Error("no gk first-hit cell carried the control variate")
 	}
 }
 
-// TestPairedSweepResumeByteIdentical: resuming an interrupted paired
-// sweep must converge to the uninterrupted checkpoint byte for byte —
-// including the delta records, whose event logs are deterministically
-// re-measured for checkpoint-restored pair members.
-func TestPairedSweepResumeByteIdentical(t *testing.T) {
-	spec := pairedSpec()
+// TestControlVariateSweepResumeByteIdentical: resuming an interrupted
+// control-variate sweep must converge to the uninterrupted checkpoint
+// byte for byte.
+func TestControlVariateSweepResumeByteIdentical(t *testing.T) {
+	spec := cvSpec()
 	dir := t.TempDir()
 
 	full := filepath.Join(dir, "full.jsonl")
@@ -144,7 +121,6 @@ func TestPairedSweepResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(want, []byte("\n"))
-	// Cut inside the record stream so restored cells feed later deltas.
 	cut := filepath.Join(dir, "resume.jsonl")
 	prefix := bytes.Join(lines[:4], nil) // header + 3 records
 	if err := os.WriteFile(cut, prefix, 0o644); err != nil {
@@ -162,22 +138,19 @@ func TestPairedSweepResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("resumed paired checkpoint is not byte-identical to the uninterrupted run")
+		t.Fatal("resumed control-variate checkpoint is not byte-identical to the uninterrupted run")
 	}
 }
 
-// TestPairedSpecChangesKeysOnly: switching the options on must not
-// change the number or order of cells — only the record content and the
-// added deltas — and the unpaired plan must carry no deltas at all.
-func TestPairedSpecChangesKeysOnly(t *testing.T) {
+// TestControlVariateSpecKeepsKeys: switching the option on must not
+// change the number, order or keys of the planned records — only the
+// content of the gk cells.
+func TestControlVariateSpecKeepsKeys(t *testing.T) {
 	off, err := Plan(frozenSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(off.Deltas) != 0 {
-		t.Fatalf("options-off plan carries %d deltas, want none", len(off.Deltas))
-	}
-	on, err := Plan(pairedSpec())
+	on, err := Plan(cvSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-
-	"repro/internal/core"
 )
 
 // Summary is the outcome of a sweep run.
@@ -97,27 +95,6 @@ func RunContext(ctx context.Context, spec Spec, path string, progress Progress) 
 		return nil
 	}
 
-	// Paired delta pair members need their per-run event logs; capture
-	// them while the cell is measured anyway, or lazily re-measure (same
-	// deterministic coins, same log) a cell that was restored from the
-	// checkpoint when a still-pending delta needs it.
-	needLog := map[int]bool{}
-	for _, d := range sw.Deltas {
-		needLog[d.A], needLog[d.B] = true, true
-	}
-	logs := map[int][]core.Event{}
-	logFor := func(i int) ([]core.Event, error) {
-		if log, ok := logs[i]; ok {
-			return log, nil
-		}
-		log := make([]core.Event, sw.Cells[i].Runs)
-		if _, err := sw.runCell(sw.Cells[i], log); err != nil {
-			return nil, err
-		}
-		logs[i] = log
-		return log, nil
-	}
-
 	// Cells in canonical order, restoring the checkpointed prefix.
 	cellRecs := make([]Record, len(sw.Cells))
 	for i, c := range sw.Cells {
@@ -130,16 +107,9 @@ func RunContext(ctx context.Context, spec Spec, path string, progress Progress) 
 				return sum, fmt.Errorf("sweep: canceled after %d of %d records: %w",
 					len(sum.Records), total, err)
 			}
-			var log []core.Event
-			if needLog[i] {
-				log = make([]core.Event, c.Runs)
-			}
-			rec, err = sw.runCell(c, log)
+			rec, err = sw.runCell(c)
 			if err != nil {
 				return sum, err
-			}
-			if log != nil {
-				logs[i] = log
 			}
 		}
 		cellRecs[i] = rec
@@ -157,36 +127,6 @@ func RunContext(ctx context.Context, spec Spec, path string, progress Progress) 
 			rec = done[idx]
 		} else {
 			rec = sw.runSum(p, cellRecs)
-		}
-		if err := emit(rec, resumed); err != nil {
-			return sum, err
-		}
-	}
-	// Paired cross-cell deltas (PairedSeeds only), reduced from the
-	// member cells' per-run event logs.
-	for i, d := range sw.Deltas {
-		idx := len(sw.Cells) + len(sw.Sums) + i
-		var rec Record
-		resumed := idx < len(done)
-		if resumed {
-			rec = done[idx]
-		} else {
-			if err := ctx.Err(); err != nil {
-				return sum, fmt.Errorf("sweep: canceled after %d of %d records: %w",
-					len(sum.Records), total, err)
-			}
-			logA, err := logFor(d.A)
-			if err != nil {
-				return sum, err
-			}
-			logB, err := logFor(d.B)
-			if err != nil {
-				return sum, err
-			}
-			rec, err = sw.runDelta(d, logA, logB)
-			if err != nil {
-				return sum, err
-			}
 		}
 		if err := emit(rec, resumed); err != nil {
 			return sum, err

@@ -81,7 +81,8 @@ type Spec struct {
 	Runs int
 	// TargetHW is the adaptive-sampling target certification margin.
 	TargetHW float64
-	// Delta is the sweep-wide false-breach probability budget.
+	// Delta is the sweep-wide false-breach probability budget, below 1
+	// (≤ 0 selects 0.01).
 	Delta float64
 	// MinRuns/MaxRuns clamp adaptive run counts.
 	MinRuns, MaxRuns int
@@ -100,17 +101,6 @@ type Spec struct {
 	// bit-identical — so it exists only for engine debugging.
 	NoCompiledPlans bool
 
-	// PairedSeeds switches every cell to common-random-numbers run
-	// seeding (core.WithPairedSeeds): run i of every cell draws its coins
-	// from a sweep-wide master stream keyed by the run index alone, so
-	// neighbouring cells' runs pair and the sweep emits extra "delta"
-	// records certifying cross-cell differences (currently the
-	// Gordon–Katz consecutive-p deltas at the Section 5 payoff) through
-	// stats.PairedEstimate. Unlike the scheduling knobs this changes the
-	// coin sequences, so paired records are NOT byte-comparable to the
-	// frozen unpaired matrices; with the flag off the output is
-	// byte-identical to before the flag existed.
-	PairedSeeds bool
 	// ControlVariates enables exact-residual estimation
 	// (core.WithControlVariate) on cells backed by an exact law —
 	// currently the Gordon–Katz first-hit cells, whose E10 probability is
@@ -213,26 +203,11 @@ func (p sumPlan) paramString() string {
 		p.Family, gammaString(p.Gamma), p.N, p.Cost)
 }
 
-// deltaPlan is one planned cross-cell delta record (PairedSeeds only):
-// the paired per-run difference of cell A minus cell B, certified with
-// stats.PairedEstimate over the cells' shared coin sequences.
-type deltaPlan struct {
-	A, B int // indices into Sweep.Cells
-	Key  string
-}
-
-func deltaParamString(a, b Cell) string {
-	return fmt.Sprintf("delta|%s||%s", a.paramString(), b.paramString())
-}
-
 // Sweep is a planned grid ready to run or resume.
 type Sweep struct {
 	Spec  Spec
 	Cells []Cell
 	Sums  []sumPlan
-	// Deltas are the planned paired cross-cell records; empty unless
-	// Spec.PairedSeeds is set.
-	Deltas []deltaPlan
 	// Skipped lists (family, n) combinations the grid could not
 	// instantiate (e.g. a two-party family at n = 5) — surfaced, not
 	// silently dropped.
@@ -241,13 +216,11 @@ type Sweep struct {
 	deltaPrime float64
 	// totalChecks counts every certification in the sweep (union bound).
 	totalChecks int
-	// pairedMaster seeds the sweep-wide CRN stream (PairedSeeds only).
-	pairedMaster int64
 }
 
 // Records returns the number of records a complete run writes (cells +
-// aggregate sums + paired deltas, excluding the header).
-func (s *Sweep) Records() int { return len(s.Cells) + len(s.Sums) + len(s.Deltas) }
+// aggregate sums, excluding the header).
+func (s *Sweep) Records() int { return len(s.Cells) + len(s.Sums) }
 
 // TotalChecks returns the number of certifications across the sweep.
 func (s *Sweep) TotalChecks() int { return s.totalChecks }
@@ -340,6 +313,9 @@ func Plan(spec Spec) (*Sweep, error) {
 	}
 	if len(spec.Gammas) == 0 {
 		return nil, fmt.Errorf("sweep: no payoff vectors")
+	}
+	if !(spec.Delta < 1) {
+		return nil, fmt.Errorf("sweep: delta %g outside (0, 1)", spec.Delta)
 	}
 	for _, f := range spec.Families {
 		if !knownFamily(f) {
@@ -490,33 +466,12 @@ func Plan(spec Spec) (*Sweep, error) {
 		}
 	}
 
-	// Paired cross-cell deltas (PairedSeeds only): consecutive-p
-	// Gordon–Katz first-hit cells at the Section 5 payoff, first cost
-	// point — the pairs whose difference has an exact closed form
-	// (GKFirstHitExact) to certify against. Both members share γ, so
-	// adaptive sampling gives them identical run counts and their
-	// per-run outcomes pair index by index.
-	if spec.PairedSeeds {
-		var gkIdx []int
-		for i, c := range sw.Cells {
-			if c.Family == "gk" && c.Adv == "firsthit" &&
-				c.Gamma == core.GordonKatzPayoff() && c.Cost == spec.Costs[0] {
-				gkIdx = append(gkIdx, i)
-			}
-		}
-		for j := 0; j+1 < len(gkIdx); j++ {
-			sw.Deltas = append(sw.Deltas, deltaPlan{A: gkIdx[j], B: gkIdx[j+1]})
-		}
-		sw.pairedMaster = int64(KeyHash("paired-master", spec.Seed) &^ (1 << 63))
-	}
-
 	// Union-bound confidence budget, then adaptive (or flat) run counts
 	// and derived per-cell seeds.
 	for i := range sw.Cells {
 		sw.totalChecks += checksFor(sw.Cells[i])
 	}
 	sw.totalChecks += len(sw.Sums)
-	sw.totalChecks += 2 * len(sw.Deltas) // nonneg + exact per delta
 	sw.deltaPrime = spec.Delta / float64(sw.totalChecks)
 	for i := range sw.Cells {
 		c := &sw.Cells[i]
@@ -538,16 +493,6 @@ func Plan(spec Spec) (*Sweep, error) {
 		h := KeyHash(fmt.Sprintf("%s|runs=%d", c.paramString(), c.Runs), spec.Seed)
 		c.Key = fmt.Sprintf("%016x", h)
 		c.Seed = int64(h &^ (1 << 63))
-	}
-	for i := range sw.Deltas {
-		d := &sw.Deltas[i]
-		a, b := sw.Cells[d.A], sw.Cells[d.B]
-		if a.Runs != b.Runs {
-			return nil, fmt.Errorf("sweep: delta pair (%s, %s) has mismatched run counts %d/%d",
-				a.Key, b.Key, a.Runs, b.Runs)
-		}
-		h := KeyHash(fmt.Sprintf("%s|runs=%d", deltaParamString(a, b), a.Runs), spec.Seed)
-		d.Key = fmt.Sprintf("%016x", h)
 	}
 
 	for msg := range skipped {
@@ -588,11 +533,8 @@ func residualSpan(g core.Payoff, cv core.ControlVariate) float64 {
 // runCell measures and certifies one cell. Deterministic: depends only
 // on the cell (which embeds its runs and seed) and the spec's
 // scheduling-neutral options — plus, when enabled, the statistical
-// options (PairedSeeds, ControlVariates), which are themselves pure
-// functions of (Spec, Seed). A non-nil eventLog (len ≥ c.Runs) receives
-// the per-run classified events for paired delta reduction; it never
-// affects the record.
-func (s *Sweep) runCell(c Cell, eventLog []core.Event) (Record, error) {
+// ControlVariates option, itself a pure function of the cell.
+func (s *Sweep) runCell(c Cell) (Record, error) {
 	proto, err := buildProtocol(c.Family, c.N, c.P)
 	if err != nil {
 		return Record{}, fmt.Errorf("sweep: cell %s: %w", c.Key, err)
@@ -604,12 +546,6 @@ func (s *Sweep) runCell(c Cell, eventLog []core.Event) (Record, error) {
 	}
 	if s.Spec.NoCompiledPlans {
 		opts = append(opts, core.WithCompiledPlans(false))
-	}
-	if s.Spec.PairedSeeds {
-		opts = append(opts, core.WithPairedSeeds(s.pairedMaster))
-	}
-	if eventLog != nil {
-		opts = append(opts, core.WithEventLog(eventLog))
 	}
 	cellSpan := span(c.Gamma)
 	cvNote := ""
@@ -775,57 +711,4 @@ func (s *Sweep) runSum(p sumPlan, cellRecs []Record) Record {
 		}
 	}
 	return rec
-}
-
-// runDelta reduces the member cells' per-run event logs into a paired
-// delta record: the CRN-paired estimate of u(cell A) − u(cell B),
-// certified against monotonicity (the first-hit utility decreases in p)
-// and against the exact closed-form difference. The pairing is what
-// makes this affordable — the cells share coin sequences, so the
-// per-run differences carry only the cells' genuine disagreement.
-func (s *Sweep) runDelta(d deltaPlan, logA, logB []core.Event) (Record, error) {
-	a, b := s.Cells[d.A], s.Cells[d.B]
-	va := make([]float64, a.Runs)
-	vb := make([]float64, b.Runs)
-	for i := range va {
-		va[i] = a.Gamma.Of(logA[i])
-		vb[i] = b.Gamma.Of(logB[i])
-	}
-	est, err := stats.PairedEstimateZ(va, vb, stats.ZQuantile(s.deltaPrime))
-	if err != nil {
-		return Record{}, fmt.Errorf("sweep: delta %s: %w", d.Key, err)
-	}
-	protoA, err := buildProtocol(a.Family, a.N, a.P)
-	if err != nil {
-		return Record{}, fmt.Errorf("sweep: delta %s: %w", d.Key, err)
-	}
-	protoB, err := buildProtocol(b.Family, b.N, b.P)
-	if err != nil {
-		return Record{}, fmt.Errorf("sweep: delta %s: %w", d.Key, err)
-	}
-	exact := core.GKFirstHitExact(protoA.NumRounds()/2, 0.5) -
-		core.GKFirstHitExact(protoB.NumRounds()/2, 0.5)
-
-	m := est.HalfWidth
-	slack := s.Spec.Slack
-	rec := Record{
-		Kind: "delta", Key: d.Key, Family: a.Family,
-		Gamma: [4]float64{a.Gamma.G00, a.Gamma.G01, a.Gamma.G10, a.Gamma.G11},
-		N:     a.N, T: a.T, Adv: a.Adv, Cost: a.Cost, P: a.P,
-		Runs: a.Runs,
-		Mean: est.Mean, HalfWidth: est.HalfWidth, Samples: est.N,
-		Note: fmt.Sprintf("paired vs p=%d", b.P),
-		Pair: b.Key,
-	}
-	rec.Checks = []Check{{
-		// Monotonicity: more rounds can only lower the first-hit utility.
-		Name: "gk-delta-nonneg", Dir: ">=", Bound: 0, Value: est.Mean, Margin: m,
-		OK: est.Mean+m >= -slack,
-	}, {
-		// The difference of two exact laws is itself exact.
-		Name: "gk-delta-exact", Dir: "=", Bound: exact, Value: est.Mean, Margin: m,
-		OK: math.Abs(est.Mean-exact) <= m+slack,
-	}}
-	rec.OK = rec.Checks[0].OK && rec.Checks[1].OK
-	return rec, nil
 }

@@ -45,6 +45,10 @@ func TestPlanValidation(t *testing.T) {
 		{"bad cost", Spec{Families: []string{"2sfe"}, Gammas: StandardGammas(), Ns: []int{2}, Costs: []string{"quadratic"}}, "unknown cost"},
 		{"not fair-plus", Spec{Families: []string{"2sfe"}, Ns: []int{2},
 			Gammas: []core.Payoff{{G00: 0.9, G01: 0, G10: 1, G11: 0.5}}}, "fair"},
+		// A false-breach budget of 1 or more certifies nothing: at 1e300
+		// δ′ passes 2 and the Hoeffding widening vanishes.
+		{"delta one", Spec{Families: []string{"2sfe"}, Gammas: StandardGammas(), Ns: []int{2}, Delta: 1}, "delta"},
+		{"delta huge", Spec{Families: []string{"2sfe"}, Gammas: StandardGammas(), Ns: []int{2}, Delta: 1e300}, "delta"},
 	}
 	for _, c := range cases {
 		if _, err := Plan(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
