@@ -2,7 +2,7 @@ package fairness
 
 // Benchmark harness: one benchmark per experiment (the paper has no
 // numbered tables/figures; its evaluation is the set of theorems and
-// lemmas indexed E01..E12 in DESIGN.md), plus substrate micro-benchmarks.
+// lemmas indexed E01..E15 in DESIGN.md), plus substrate micro-benchmarks.
 // Each experiment benchmark regenerates its paper-vs-measured rows at the
 // quick configuration and reports the headline measured value as a
 // custom metric, so `go test -bench=.` reprints the whole evaluation.
@@ -12,10 +12,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/circuit"
 	"repro/internal/experiments"
-	"repro/internal/gmw"
-	"repro/internal/ot"
 )
 
 func benchExperiment(b *testing.B, run func(experiments.Config) (experiments.Result, error)) {
@@ -157,50 +154,6 @@ func BenchmarkSubstrateGordonKatzRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(proto, inputs, Passive{}, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSubstrateGMWDealerOT(b *testing.B) {
-	circ, err := circuit.MillionairesCircuit(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eval, err := gmw.NewEvaluator(circ, 2, ot.Dealer{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs, err := gmw.InputsFromGlobal(circ, make([]bool, 32), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Evaluate(rng, inputs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSubstrateGMWNaorPinkasOT(b *testing.B) {
-	circ, err := circuit.AndCircuit()
-	if err != nil {
-		b.Fatal(err)
-	}
-	eval, err := gmw.NewEvaluator(circ, 2, ot.NaorPinkas{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs, err := gmw.InputsFromGlobal(circ, []bool{true, true}, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Evaluate(rng, inputs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,6 +21,7 @@ var goldenMatrix = []struct {
 	{"quick_e04_markdown", []string{"-quick", "-runs", "60", "-sup", "40", "-exp", "E04", "-format", "markdown"}},
 	{"quick_e04_seed0", []string{"-quick", "-seed", "0", "-runs", "60", "-sup", "40", "-exp", "E04"}},
 	{"quick_e05_parallel1", []string{"-quick", "-runs", "60", "-sup", "40", "-exp", "E05", "-parallel", "1"}},
+	{"quick_e15", []string{"-quick", "-runs", "60", "-sup", "40", "-exp", "E15"}},
 }
 
 // captureStdout runs fn with os.Stdout redirected to a pipe and returns

@@ -1,4 +1,4 @@
-// Command fairness runs the paper-reproduction experiments (E01..E12)
+// Command fairness runs the paper-reproduction experiments (E01..E15)
 // and prints one paper-vs-measured table per theorem/lemma.
 //
 // Usage:

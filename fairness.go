@@ -368,7 +368,7 @@ type (
 )
 
 var (
-	// RunAllExperiments executes E01..E12.
+	// RunAllExperiments executes E01..E15.
 	RunAllExperiments = experiments.RunAll
 	// Experiments lists the individual experiments.
 	Experiments = experiments.All

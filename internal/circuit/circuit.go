@@ -1,7 +1,8 @@
 // Package circuit provides boolean circuits over XOR/AND/NOT gates — the
-// representation the GMW substrate evaluates under XOR-sharing. XOR and
-// NOT gates are free (local) in GMW; each AND gate costs one oblivious
-// transfer per party pair.
+// representation the Beaver-triple Π_GMW (internal/gmwproto) evaluates
+// under XOR-sharing. XOR and NOT gates are free (local); each AND gate
+// consumes one Beaver triple, and each AND layer costs one broadcast
+// round.
 //
 // Circuits are directed acyclic graphs of gates over numbered wires.
 // Wires [0, NumInputs) are input wires, each owned by a party; gate g
@@ -194,26 +195,6 @@ func (b *Builder) MuxVec(sel int, lo, hi []int) []int {
 	return out
 }
 
-// Equal returns a wire that is 1 iff the two vectors are bitwise equal.
-func (b *Builder) Equal(xs, ys []int) int {
-	if len(xs) != len(ys) {
-		panic("circuit: Equal length mismatch")
-	}
-	acc := -1
-	for i := range xs {
-		eq := b.Not(b.Xor(xs[i], ys[i]))
-		if acc < 0 {
-			acc = eq
-		} else {
-			acc = b.And(acc, eq)
-		}
-	}
-	if acc < 0 {
-		panic("circuit: Equal on empty vectors")
-	}
-	return acc
-}
-
 // GreaterThan returns a wire that is 1 iff x > y, both little-endian
 // unsigned vectors of equal length. Classic ripple comparator:
 // gt_i = x_i·¬y_i ⊕ (x_i≡y_i)·gt_{i-1}, scanning from LSB to MSB.
@@ -231,28 +212,6 @@ func (b *Builder) GreaterThan(xs, ys []int) int {
 		gt = b.Xor(bitGT, b.And(eq, gt))
 	}
 	return gt
-}
-
-// Add returns the little-endian sum (with carry-out as the last wire) of
-// two equal-length vectors: a ripple-carry adder.
-func (b *Builder) Add(xs, ys []int) []int {
-	if len(xs) != len(ys) {
-		panic("circuit: Add length mismatch")
-	}
-	out := make([]int, 0, len(xs)+1)
-	carry := -1
-	for i := range xs {
-		s := b.Xor(xs[i], ys[i])
-		if carry >= 0 {
-			newCarry := b.Xor(b.And(xs[i], ys[i]), b.And(s, carry))
-			s = b.Xor(s, carry)
-			carry = newCarry
-		} else {
-			carry = b.And(xs[i], ys[i])
-		}
-		out = append(out, s)
-	}
-	return append(out, carry)
 }
 
 // Output marks wires as circuit outputs (appended in order).

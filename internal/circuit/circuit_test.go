@@ -146,24 +146,6 @@ func TestAndCircuit(t *testing.T) {
 	}
 }
 
-func TestXorCircuit(t *testing.T) {
-	c, err := XorCircuit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []bool{false, true} {
-		for _, y := range []bool{false, true} {
-			got, err := c.Eval([]bool{x, y})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[0] != (x != y) {
-				t.Errorf("XOR(%v,%v) = %v", x, y, got[0])
-			}
-		}
-	}
-}
-
 func TestSwapCircuit(t *testing.T) {
 	const bits = 8
 	c, err := SwapCircuit(bits)
@@ -203,26 +185,6 @@ func TestMillionairesCircuit(t *testing.T) {
 			return false
 		}
 		return out[0] == (x > y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEqualityCircuit(t *testing.T) {
-	const bits = 6
-	c, err := EqualityCircuit(bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(x, y uint8) bool {
-		xv, yv := uint64(x)&63, uint64(y)&63
-		in := append(UintToBits(xv, bits), UintToBits(yv, bits)...)
-		out, err := c.Eval(in)
-		if err != nil {
-			return false
-		}
-		return out[0] == (xv == yv)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -279,52 +241,6 @@ func TestMaxCircuit(t *testing.T) {
 	}
 }
 
-func TestSumCircuit(t *testing.T) {
-	c, err := SumCircuit(3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		var in []bool
-		want := uint64(0)
-		for p := 0; p < 3; p++ {
-			v := uint64(rng.Intn(32))
-			want += v
-			in = append(in, UintToBits(v, 5)...)
-		}
-		out, err := c.Eval(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := BitsToUint(out); got != want {
-			t.Fatalf("sum = %d, want %d", got, want)
-		}
-	}
-}
-
-func TestAdder(t *testing.T) {
-	b := NewBuilder()
-	xs := b.Inputs(0, 8)
-	ys := b.Inputs(1, 8)
-	b.Output(b.Add(xs, ys)...)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(x, y uint8) bool {
-		in := append(UintToBits(uint64(x), 8), UintToBits(uint64(y), 8)...)
-		out, err := c.Eval(in)
-		if err != nil {
-			return false
-		}
-		return BitsToUint(out) == uint64(x)+uint64(y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLibraryConstructorsRejectBadArgs(t *testing.T) {
 	if _, err := MillionairesCircuit(0); err == nil {
 		t.Error("MillionairesCircuit(0)")
@@ -337,12 +253,6 @@ func TestLibraryConstructorsRejectBadArgs(t *testing.T) {
 	}
 	if _, err := MaxCircuit(1, 4); err == nil {
 		t.Error("MaxCircuit(n=1)")
-	}
-	if _, err := SumCircuit(2, 0); err == nil {
-		t.Error("SumCircuit(bits=0)")
-	}
-	if _, err := EqualityCircuit(-1); err == nil {
-		t.Error("EqualityCircuit(-1)")
 	}
 }
 

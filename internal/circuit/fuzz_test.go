@@ -1,76 +1,6 @@
 package circuit
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
-
-// FuzzReadBristol exercises the parser against arbitrary inputs: it must
-// never panic, and anything it accepts must validate and survive a
-// write/read round trip.
-func FuzzReadBristol(f *testing.F) {
-	seeds := []string{
-		"2 5\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n",
-		"1 3\n2 1 1\n1 1\n\n1 1 0 2 INV\n",
-		"0 1\n1 1\n1 1\n\n",
-		"",
-		"garbage",
-		"2 5\n3 1 1 1\n1 1\n\n2 1 0 1 3 NAND\n",
-	}
-	mil, err := MillionairesCircuit(4)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBristol(&buf, mil); err != nil {
-		f.Fatal(err)
-	}
-	seeds = append(seeds, buf.String())
-
-	f.Fuzz(func(t *testing.T, src string) {
-		c, err := ReadBristol(strings.NewReader(src))
-		if err != nil {
-			return // rejected input: fine
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatalf("parser accepted an invalid circuit: %v", err)
-		}
-		// Accepted circuits must survive a round trip semantically.
-		var out bytes.Buffer
-		if err := WriteBristol(&out, c); err != nil {
-			// Non-contiguous owners are unwritable; everything else must
-			// serialize.
-			if !strings.Contains(err.Error(), "non-contiguous") {
-				t.Fatalf("re-serialize: %v", err)
-			}
-			return
-		}
-		c2, err := ReadBristol(&out)
-		if err != nil {
-			t.Fatalf("re-parse: %v\n%s", err, out.String())
-		}
-		if c2.NumInputs != c.NumInputs || len(c2.Outputs) != len(c.Outputs) {
-			t.Fatalf("round trip changed shape: %d/%d inputs, %d/%d outputs",
-				c.NumInputs, c2.NumInputs, len(c.Outputs), len(c2.Outputs))
-		}
-		// Evaluate both on a fixed input pattern.
-		in := make([]bool, c.NumInputs)
-		for i := range in {
-			in[i] = i%2 == 0
-		}
-		o1, err1 := c.Eval(in)
-		o2, err2 := c2.Eval(in)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("eval divergence: %v vs %v", err1, err2)
-		}
-		for i := range o1 {
-			if o1[i] != o2[i] {
-				t.Fatalf("output %d differs after round trip", i)
-			}
-		}
-	})
-}
+import "testing"
 
 // FuzzBuilderEval cross-checks random builder programs against a direct
 // reference evaluation.

@@ -2,7 +2,8 @@ package circuit
 
 import "fmt"
 
-// Library of circuits used by the examples and experiments.
+// Library of circuits that Π_GMW (internal/gmwproto) runs: experiment E15
+// evaluates MillionairesCircuit, and gmwproto's tests cover the rest.
 
 // AndCircuit computes x1 ∧ x2 for one bit per party — the function of the
 // leaky protocol Π̃ (Appendix C.5).
@@ -11,16 +12,6 @@ func AndCircuit() (*Circuit, error) {
 	x := b.Input(0)
 	y := b.Input(1)
 	b.Output(b.And(x, y))
-	return b.Build()
-}
-
-// XorCircuit computes x1 ⊕ x2 for one bit per party — Cleve's classic
-// coin-flip-style function.
-func XorCircuit() (*Circuit, error) {
-	b := NewBuilder()
-	x := b.Input(0)
-	y := b.Input(1)
-	b.Output(b.Xor(x, y))
 	return b.Build()
 }
 
@@ -48,7 +39,7 @@ func SwapCircuit(bits int) (*Circuit, error) {
 }
 
 // MillionairesCircuit computes [x1 > x2] for two `bits`-bit unsigned
-// inputs — Yao's millionaires' problem, the quickstart's running example.
+// inputs — Yao's millionaires' problem, the circuit E15 runs Π_GMW on.
 func MillionairesCircuit(bits int) (*Circuit, error) {
 	if bits <= 0 {
 		return nil, fmt.Errorf("circuit: millionaires: bits must be positive, got %d", bits)
@@ -98,46 +89,6 @@ func MaxCircuit(n, bits int) (*Circuit, error) {
 		best = b.MuxVec(gt, best, all[p])
 	}
 	b.Output(best...)
-	return b.Build()
-}
-
-// SumCircuit computes the `bits+ceil(log2 n)`-bit sum of n unsigned
-// `bits`-bit inputs (used by tests as a nontrivial arithmetic circuit).
-func SumCircuit(n, bits int) (*Circuit, error) {
-	if n < 2 || bits <= 0 {
-		return nil, fmt.Errorf("circuit: sum: need n >= 2 and bits > 0, got n=%d bits=%d", n, bits)
-	}
-	b := NewBuilder()
-	all := make([][]int, n)
-	for p := 0; p < n; p++ {
-		all[p] = b.Inputs(p, bits)
-	}
-	acc := all[0]
-	for p := 1; p < n; p++ {
-		operand := all[p]
-		// Pad the shorter operand with constant-zero wires (x ⊕ x).
-		for len(operand) < len(acc) {
-			operand = append(operand, b.Xor(all[p][0], all[p][0]))
-		}
-		for len(acc) < len(operand) {
-			acc = append(acc, b.Xor(all[0][0], all[0][0]))
-		}
-		acc = b.Add(acc, operand)
-	}
-	b.Output(acc...)
-	return b.Build()
-}
-
-// EqualityCircuit computes [x1 == x2] for two `bits`-bit inputs — the
-// socialist millionaires variant used in tests.
-func EqualityCircuit(bits int) (*Circuit, error) {
-	if bits <= 0 {
-		return nil, fmt.Errorf("circuit: equality: bits must be positive, got %d", bits)
-	}
-	b := NewBuilder()
-	xs := b.Inputs(0, bits)
-	ys := b.Inputs(1, bits)
-	b.Output(b.Equal(xs, ys))
 	return b.Build()
 }
 

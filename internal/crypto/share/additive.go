@@ -1,7 +1,7 @@
 // Package share implements the secret-sharing schemes used throughout the
 // fairness protocols:
 //
-//   - plain additive n-of-n sharing (the GMW substrate's wire sharing),
+//   - plain additive n-of-n sharing (the summands AuthDealN tags),
 //   - the authenticated additive two-out-of-two scheme of Appendix A
 //     (used by ΠOpt-2SFE and the Gordon–Katz ShareGen functionality), and
 //   - Shamir t-of-n sharing with authenticated reconstruction (the
@@ -44,44 +44,4 @@ func AdditiveShare(r io.Reader, secret field.Element, n int) ([]field.Element, e
 // AdditiveReconstruct recombines the summands.
 func AdditiveReconstruct(shares []field.Element) field.Element {
 	return field.Sum(shares)
-}
-
-// AdditiveShareVector shares each coordinate of a vector independently,
-// returning n share vectors.
-func AdditiveShareVector(r io.Reader, secret []field.Element, n int) ([][]field.Element, error) {
-	if n < 2 {
-		return nil, ErrBadShareCount
-	}
-	out := make([][]field.Element, n)
-	for i := range out {
-		out[i] = make([]field.Element, len(secret))
-	}
-	for j, s := range secret {
-		shares, err := AdditiveShare(r, s, n)
-		if err != nil {
-			return nil, err
-		}
-		for i := range shares {
-			out[i][j] = shares[i]
-		}
-	}
-	return out, nil
-}
-
-// AdditiveReconstructVector recombines coordinate-wise.
-func AdditiveReconstructVector(shares [][]field.Element) ([]field.Element, error) {
-	if len(shares) == 0 {
-		return nil, errors.New("share: reconstruct vector: no shares")
-	}
-	width := len(shares[0])
-	out := make([]field.Element, width)
-	for _, sv := range shares {
-		if len(sv) != width {
-			return nil, fmt.Errorf("share: reconstruct vector: width mismatch %d vs %d", len(sv), width)
-		}
-		for j, s := range sv {
-			out[j] = out[j].Add(s)
-		}
-	}
-	return out, nil
 }

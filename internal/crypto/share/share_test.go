@@ -68,37 +68,6 @@ func TestAdditivePrivacy(t *testing.T) {
 	}
 }
 
-func TestAdditiveShareVector(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	secret := []field.Element{field.New(1), field.New(2), field.New(3)}
-	shares, err := AdditiveShareVector(rng, secret, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AdditiveReconstructVector(shares)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range secret {
-		if got[i] != secret[i] {
-			t.Errorf("coordinate %d: got %v want %v", i, got[i], secret[i])
-		}
-	}
-}
-
-func TestAdditiveShareVectorErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	if _, err := AdditiveShareVector(rng, []field.Element{1}, 1); err == nil {
-		t.Error("n=1 should fail")
-	}
-	if _, err := AdditiveReconstructVector(nil); err == nil {
-		t.Error("no shares should fail")
-	}
-	if _, err := AdditiveReconstructVector([][]field.Element{{1, 2}, {1}}); err == nil {
-		t.Error("width mismatch should fail")
-	}
-}
-
 func TestAuthDealReconstructBothDirections(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	secret := field.New(424242)

@@ -148,7 +148,7 @@ type Row struct {
 
 // Result is one experiment's outcome.
 type Result struct {
-	// ID is the experiment identifier (E01..E12).
+	// ID is the experiment identifier (E01..E15).
 	ID string
 	// Title describes the claim under test.
 	Title string

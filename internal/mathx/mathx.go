@@ -1,20 +1,7 @@
 // Package mathx provides small numeric helpers shared by the fairness
 // engine: tolerance-based comparisons standing in for the paper's
-// "up to a negligible function" relations, and combinatorial utilities.
+// "up to a negligible function" relations, and a float sum.
 package mathx
-
-import "math"
-
-// DefaultTolerance is the default slack used when comparing empirical
-// utility estimates against the paper's closed-form bounds. It plays the
-// role of the negligible function µ in the paper's ≤-up-to-negligible
-// relation, widened to absorb Monte-Carlo sampling error.
-const DefaultTolerance = 0.02
-
-// ApproxEqual reports |a - b| <= tol.
-func ApproxEqual(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
-}
 
 // LessOrApprox reports a <= b + tol, the empirical analogue of the paper's
 //
@@ -26,61 +13,6 @@ func LessOrApprox(a, b, tol float64) bool {
 // GreaterOrApprox reports a >= b - tol, the empirical analogue of ≥(negl).
 func GreaterOrApprox(a, b, tol float64) bool {
 	return a >= b-tol
-}
-
-// Clamp limits v to the interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	switch {
-	case v < lo:
-		return lo
-	case v > hi:
-		return hi
-	default:
-		return v
-	}
-}
-
-// Binomial returns C(n, k) as a float64 (exact for small arguments; the
-// fairness experiments only need n up to a few dozen).
-func Binomial(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	result := 1.0
-	for i := 0; i < k; i++ {
-		result = result * float64(n-i) / float64(i+1)
-	}
-	return result
-}
-
-// MinInt returns the smaller of a and b.
-func MinInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxInt returns the larger of a and b.
-func MaxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MaxFloat returns the maximum of a non-empty slice, or -Inf for empty.
-func MaxFloat(vs []float64) float64 {
-	m := math.Inf(-1)
-	for _, v := range vs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // SumFloat returns the sum of the slice.

@@ -27,7 +27,7 @@ const (
 	KindSearch Kind = "search"
 	// KindSweep runs a bound-certifying parameter sweep.
 	KindSweep Kind = "sweep"
-	// KindExperiment runs paper-reproduction experiments (E01..E12).
+	// KindExperiment runs paper-reproduction experiments (E01..E15).
 	KindExperiment Kind = "experiment"
 )
 
@@ -153,7 +153,8 @@ func (p SweepParams) Kind() Kind { return KindSweep }
 // Validate implements Params.
 func (p SweepParams) Validate() error {
 	if _, err := sweep.Plan(p.Spec); err != nil {
-		return fmt.Errorf("service: sweep: %w", err)
+		// sweep.Plan's errors already read "sweep: …".
+		return fmt.Errorf("service: %w", err)
 	}
 	return nil
 }

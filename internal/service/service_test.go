@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -252,9 +253,13 @@ func TestExperimentJob(t *testing.T) {
 	}
 }
 
-// TestValidation exercises Submit's eager rejection of malformed params.
+// TestValidation exercises Submit's eager rejection of malformed params,
+// and checks that no rejection repeats a segment of its error prefix,
+// such as "service: sweep: sweep: …".
 func TestValidation(t *testing.T) {
 	p := newTestPool(t, 1)
+	unknownFamily := sweep.DefaultSpec()
+	unknownFamily.Families = []string{"no-such-family"}
 	cases := []Params{
 		EstimateParams{Proto: "no-such-proto", Adv: "agen", Runs: 10, Seed: 1},
 		EstimateParams{Proto: "pi1", Adv: "no-such-adv", Runs: 10, Seed: 1},
@@ -263,10 +268,21 @@ func TestValidation(t *testing.T) {
 		SupParams{Proto: "pi1", Advs: []string{"passive", "bogus"}, Runs: 10, Seed: 1},
 		ExperimentParams{IDs: []string{"E99"}, Config: experiments.QuickConfig()},
 		SweepParams{Spec: sweep.Spec{Families: []string{"no-such-family"}}},
+		SweepParams{Spec: unknownFamily},
 	}
 	for i, params := range cases {
-		if _, err := p.Submit(params); err == nil {
+		_, err := p.Submit(params)
+		if err == nil {
 			t.Errorf("case %d (%+v): Submit accepted invalid params", i, params)
+			continue
+		}
+		seen := map[string]bool{}
+		for _, seg := range strings.Split(err.Error(), ": ") {
+			if seen[seg] {
+				t.Errorf("case %d: error %q repeats the prefix segment %q", i, err, seg)
+				break
+			}
+			seen[seg] = true
 		}
 	}
 	if st := p.Stats(); st.Submitted != 0 {

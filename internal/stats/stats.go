@@ -221,50 +221,6 @@ func ZQuantile(delta float64) float64 {
 	return math.Sqrt2 * math.Erfinv(1-delta)
 }
 
-// Counter tallies categorical outcomes (e.g. the events E00..E11) and
-// produces per-category frequency estimates. Tallies are int64 so a
-// long-lived counter fed by many estimations never wraps on 32-bit
-// builds. The zero Counter is ready to use, like the rest of the
-// package: Add allocates the category map lazily.
-type Counter struct {
-	counts map[string]int64
-	total  int64
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter {
-	return &Counter{counts: make(map[string]int64)}
-}
-
-// Add records one occurrence of the category.
-func (c *Counter) Add(category string) {
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
-	}
-	c.counts[category]++
-	c.total++
-}
-
-// Total returns the number of recorded occurrences.
-func (c *Counter) Total() int64 { return c.total }
-
-// Count returns the tally for one category.
-func (c *Counter) Count(category string) int64 { return c.counts[category] }
-
-// Freq returns the empirical frequency of the category (0 if no samples).
-func (c *Counter) Freq(category string) float64 {
-	if c.total == 0 {
-		return 0
-	}
-	return float64(c.counts[category]) / float64(c.total)
-}
-
-// FreqEstimate returns the frequency of the category with a Hoeffding 95%
-// confidence interval.
-func (c *Counter) FreqEstimate(category string) (Estimate, error) {
-	return BernoulliEstimate(c.counts[category], c.total)
-}
-
 // WilsonInterval returns the Wilson score interval for successes/n at
 // 95% confidence — tighter than Hoeffding for probabilities near 0 or 1.
 // The Gordon–Katz experiments (E11/E12) use it to cross-check the small

@@ -159,35 +159,6 @@ func TestEstimateString(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	if c.Total() != 0 || c.Freq("x") != 0 {
-		t.Error("empty counter not zero")
-	}
-	c.Add("E10")
-	c.Add("E10")
-	c.Add("E11")
-	if c.Total() != 3 {
-		t.Errorf("Total = %d, want 3", c.Total())
-	}
-	if c.Count("E10") != 2 {
-		t.Errorf("Count(E10) = %d, want 2", c.Count("E10"))
-	}
-	if got := c.Freq("E11"); math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("Freq(E11) = %v, want 1/3", got)
-	}
-	est, err := c.FreqEstimate("E10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Mean-2.0/3) > 1e-12 {
-		t.Errorf("FreqEstimate mean = %v, want 2/3", est.Mean)
-	}
-	if _, err := NewCounter().FreqEstimate("none"); err != ErrNoSamples {
-		t.Errorf("FreqEstimate on empty = %v, want ErrNoSamples", err)
-	}
-}
-
 func TestWilsonInterval(t *testing.T) {
 	lo, hi, err := WilsonInterval(5, 100)
 	if err != nil {
@@ -369,18 +340,6 @@ func TestEstimateFromCountsSingle(t *testing.T) {
 	}
 	if !est.LeqWithin(2, 0) || !est.GeqWithin(0, 0) {
 		t.Error("an infinite interval must stay consistent with any bound")
-	}
-}
-
-// TestCounterZeroValue: the zero Counter must be ready to use — Add
-// allocates the category map lazily instead of panicking on a nil map.
-func TestCounterZeroValue(t *testing.T) {
-	var c Counter
-	c.Add("E10")
-	c.Add("E10")
-	if c.Total() != 2 || c.Count("E10") != 2 {
-		t.Errorf("zero-value Counter after two Adds: Total=%d Count=%d, want 2/2",
-			c.Total(), c.Count("E10"))
 	}
 }
 
