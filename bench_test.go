@@ -202,23 +202,12 @@ func BenchmarkEstimate2SFEDefaultParallel(b *testing.B) {
 	benchEstimate(b, NewOptimalTwoParty(Swap()), NewLockAbort(1), sampler)
 }
 
-// BenchmarkEstimate2SFEInterpreted is the plain-interpreter reference
-// for the compiled-plan speedup: identical workload and report to
-// BenchmarkEstimate2SFE with WithCompiledPlans(false).
-func BenchmarkEstimate2SFEInterpreted(b *testing.B) {
-	sampler := func(r *rand.Rand) []Value {
-		return []Value{uint64(r.Intn(1 << 20)), uint64(r.Intn(1 << 20))}
-	}
-	benchEstimate(b, NewOptimalTwoParty(Swap()), NewLockAbort(1), sampler,
-		WithParallelism(1), WithCompiledPlans(false))
-}
-
-// BenchmarkEstimate2SFECompiledMill is the compiled path's allocation
-// floor: millionaires' inputs and outputs stay below 256 (boxing into
-// Value is free) and the in-place sampler refills engine-owned buffers,
-// so allocs/op — which benchEstimate makes equal to allocs/run — is
-// pinned at <= 2 by CI's bench-smoke budget.
-func BenchmarkEstimate2SFECompiledMill(b *testing.B) {
+// BenchmarkEstimate2SFEMill is the estimator's allocation floor:
+// millionaires' inputs and outputs stay below 256 (boxing into Value is
+// free) and the in-place sampler refills engine-owned buffers, so
+// allocs/op — which benchEstimate makes equal to allocs/run — is pinned
+// at <= 2 by CI's bench-smoke budget.
+func BenchmarkEstimate2SFEMill(b *testing.B) {
 	into := func(r *rand.Rand, dst []Value) []Value {
 		return append(dst, uint64(r.Intn(200)), uint64(r.Intn(200)))
 	}

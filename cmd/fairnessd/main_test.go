@@ -427,6 +427,8 @@ func TestBadRequests(t *testing.T) {
 		// Removed fields fail loudly instead of being silently ignored.
 		{"/v1/search", `{"proto":"pi1","seed":1,"paired_seeds":true}`, 400},
 		{"/v1/sweep", `{"spec":` + sweepSpecJSON(`"PairedSeeds":true`) + `}`, 400},
+		{"/v1/sweep", `{"spec":` + sweepSpecJSON(`"NoCompiledPlans":true`) + `}`, 400},
+		{"/v1/sweep", `{"spec":` + sweepSpecJSON(`"BatchSize":8`) + `}`, 400},
 		// A false-breach budget of 1 or more certifies nothing.
 		{"/v1/sweep", `{"spec":` + sweepSpecJSON(`"Delta":2`) + `}`, 400},
 	}

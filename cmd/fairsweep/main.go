@@ -11,8 +11,7 @@
 //	          [-t LIST] [-p LIST] [-costs LIST]
 //	          [-runs N | -target-hw W -delta D -max-runs N]
 //	          [-sup N] [-sup-search] [-slack S] [-control-variate]
-//	          [-seed S] [-parallel P] [-no-compiled-plans]
-//	          [-no-abort-sweep] [-quiet] [-v]
+//	          [-seed S] [-parallel P] [-no-abort-sweep] [-quiet] [-v]
 //
 // With -checkpoint, every record is streamed to a JSONL file as it is
 // produced; re-running the same command against an existing checkpoint
@@ -103,7 +102,6 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	slack := fs.Float64("slack", 0, "flat extra certification tolerance")
 	supSearch := fs.Bool("sup-search", false, "compute sup cells with the racing search engine (keyed \"sup-search\")")
 	vr := cliflags.RegisterVariance(fs)
-	noCompiled := fs.Bool("no-compiled-plans", false, "pin the estimator to the interpreter (debugging; records are identical)")
 	noAbort := fs.Bool("no-abort-sweep", false, "disable the abort-at-round attacker dimension")
 	cp := fs.String("checkpoint", "", "JSONL checkpoint path (resumes if the file exists)")
 	q := fs.Bool("quiet", false, "suppress per-record progress")
@@ -168,9 +166,6 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	}
 	if est.Given("parallel") {
 		spec.Parallelism = est.Parallel
-	}
-	if *noCompiled {
-		spec.NoCompiledPlans = true
 	}
 	if *noAbort {
 		spec.AbortSweep = false

@@ -33,7 +33,7 @@ func main() {
 		return []fairness.Value{uint64(r.Intn(1 << 20)), uint64(r.Intn(1 << 20))}
 	}
 	// Options tune scheduling only — the report is bit-identical for any
-	// parallelism or batch size (the estimator's determinism contract).
+	// parallelism (the estimator's determinism contract).
 	report, err := fairness.EstimateUtility(proto, fairness.NewAgen(), gamma, sampler, 3000, 7,
 		fairness.WithParallelism(fairness.DefaultParallelism()))
 	if err != nil {

@@ -71,10 +71,10 @@ type (
 	// InputSampler draws one input vector per run (the environment Z).
 	InputSampler = core.InputSampler
 	// InputSamplerInto is the allocation-free InputSampler variant used
-	// with WithSamplerInto on the compiled hot path.
+	// with WithSamplerInto.
 	InputSamplerInto = core.InputSamplerInto
 	// EstimatorOption configures EstimateUtility / SupUtility
-	// (parallelism, batch size, observers, metrics). Options tune
+	// (parallelism, observers, metrics). Options tune
 	// scheduling and instrumentation only — the estimate is a pure
 	// function of (runs, seed).
 	EstimatorOption = core.Option
@@ -178,8 +178,6 @@ var (
 	// WithParallelism sets the estimation worker count (<= 0 selects
 	// DefaultParallelism).
 	WithParallelism = core.WithParallelism
-	// WithBatchSize sets how many runs a worker leases at a time.
-	WithBatchSize = core.WithBatchSize
 	// WithObserver attaches a per-run engine observer factory.
 	WithObserver = core.WithObserver
 	// WithSupObserver attaches per-run observers keyed by strategy label.
@@ -187,11 +185,6 @@ var (
 	// WithMetrics accumulates merged engine counters into a caller's
 	// sim.Metrics across estimations.
 	WithMetrics = core.WithMetrics
-	// WithCompiledPlans toggles compiled execution plans on the
-	// estimator hot path (on by default; results are bit-identical
-	// either way, with automatic interpreter fallback for pairs whose
-	// plan probe fails).
-	WithCompiledPlans = core.WithCompiledPlans
 	// WithSamplerInto installs an allocation-free input sampler that
 	// refills engine-owned buffers instead of allocating per run.
 	WithSamplerInto = core.WithSamplerInto

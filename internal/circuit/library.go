@@ -26,15 +26,8 @@ func SwapCircuit(bits int) (*Circuit, error) {
 	b := NewBuilder()
 	xs := b.Inputs(0, bits)
 	ys := b.Inputs(1, bits)
-	// Outputs must be gate-driven wires for GMW's reveal phase to have a
-	// uniform shape; pass inputs through XOR-with-zero (x ⊕ x ⊕ x = x via
-	// NOT(NOT(x)) keeps it single-input).
-	for _, y := range ys {
-		b.Output(b.Not(b.Not(y)))
-	}
-	for _, x := range xs {
-		b.Output(b.Not(b.Not(x)))
-	}
+	b.Output(ys...)
+	b.Output(xs...)
 	return b.Build()
 }
 
@@ -59,14 +52,8 @@ func ConcatCircuit(n, bits int) (*Circuit, error) {
 		return nil, fmt.Errorf("circuit: concat: need n >= 2 and bits > 0, got n=%d bits=%d", n, bits)
 	}
 	b := NewBuilder()
-	all := make([][]int, n)
 	for p := 0; p < n; p++ {
-		all[p] = b.Inputs(p, bits)
-	}
-	for p := 0; p < n; p++ {
-		for _, w := range all[p] {
-			b.Output(b.Not(b.Not(w)))
-		}
+		b.Output(b.Inputs(p, bits)...)
 	}
 	return b.Build()
 }

@@ -14,12 +14,12 @@ import (
 )
 
 // Option configures an estimation. The zero configuration — no options —
-// uses one worker per CPU, the default batch size, and no observers;
-// results are independent of every scheduling option (see
-// EstimateUtility), so those options tune performance and
-// instrumentation, never the estimate. The one exception is the
-// explicitly statistical WithControlVariate in variance.go, which
-// changes the estimator by design and is off by default.
+// uses one worker per CPU and no observers; results are independent of
+// the worker count and the observers (see EstimateUtility), so those
+// options tune performance and instrumentation, never the estimate. The
+// one exception is the explicitly statistical WithControlVariate in
+// variance.go, which changes the estimator by design and is off by
+// default.
 type Option func(*options)
 
 type options struct {
@@ -28,7 +28,6 @@ type options struct {
 	factory     ObserverFactory
 	supFactory  SupObserverFactory
 	metrics     *sim.Metrics
-	noCompiled  bool
 	samplerInto InputSamplerInto
 	cv          *ControlVariate
 }
@@ -42,11 +41,11 @@ func WithParallelism(parallelism int) Option {
 	return func(o *options) { o.parallelism = parallelism }
 }
 
-// WithBatchSize sets how many runs a worker leases from the sampler
-// stream at a time; <= 0 selects the default (64). Smaller batches
-// balance ragged workloads better, larger ones reduce contention on the
-// sampler lock. The estimate is identical for every batch size.
-func WithBatchSize(n int) Option {
+// withBatchSize sets how many runs a worker leases from the sampler
+// stream at a time; <= 0 selects the default (64). The estimate is
+// identical for every batch size, which the package tests check by
+// setting it; no production caller does.
+func withBatchSize(n int) Option {
 	return func(o *options) { o.batchSize = n }
 }
 
@@ -70,17 +69,6 @@ func WithSupObserver(factory SupObserverFactory) Option {
 // a caller aggregating over many estimations needs no manual merging.
 func WithMetrics(m *sim.Metrics) Option {
 	return func(o *options) { o.metrics = m }
-}
-
-// WithCompiledPlans toggles the compiled execution plans (sim.CompilePlan
-// / sim.PlanRunner) on the estimator hot path. Compiled plans are on by
-// default; pairs whose probe run fails fall back to the plain interpreter
-// automatically, and a compiled run is bit-identical to an interpreted
-// one (the frozen equivalence matrix in the package tests pins this), so
-// the only reason to pass false is isolating the interpreter when
-// debugging the engine itself.
-func WithCompiledPlans(enabled bool) Option {
-	return func(o *options) { o.noCompiled = !enabled }
 }
 
 // WithSamplerInto replaces the estimation's positional InputSampler with
@@ -234,23 +222,16 @@ type runError struct {
 	err error
 }
 
-// simRunner is the per-worker execution surface: sim.Arena (the
-// interpreter) and sim.PlanRunner (compiled-plan replay) both satisfy
-// it with identical run semantics.
-type simRunner interface {
-	Run(inputs []sim.Value, adv sim.Adversary, seed int64, obs ...sim.Observer) (*sim.Trace, error)
-}
-
 // EstimateUtility measures the attacker utility of strategy adv against
 // proto under payoff gamma by repeated seeded simulation: the empirical
 // version of Equation (2) for a fixed (adversary, environment) pair.
 //
-// The estimate is a pure function of (runs, seed): every scheduling
-// option — parallelism, batch size, observers — changes how the runs
-// are scheduled, never what they compute. Workers lease batches of
-// (inputs, seed) jobs drawn in the canonical master-stream order,
-// replay them on per-worker sim.Arenas (reused execution state, no
-// per-run allocation), and keep integer outcome tallies that merge
+// The estimate is a pure function of (runs, seed): parallelism and
+// observers change how the runs are scheduled, never what they compute.
+// Workers lease batches of (inputs, seed) jobs drawn in the canonical
+// master-stream order, replay them on per-worker sim.Arenas (reused
+// execution state and self-sizing RNG slabs, no per-run engine
+// allocation), and keep integer outcome tallies that merge
 // order-independently into the report.
 //
 // WithControlVariate is the deliberate exception to that purity: it
@@ -294,17 +275,6 @@ func EstimateUtility(proto sim.Protocol, adv sim.Adversary, gamma Payoff,
 		batch = runs
 	}
 
-	// Compile the pair's execution plan unless disabled. A pair whose
-	// probe run fails is not compilable — those estimations silently run
-	// on the plain interpreter, with identical results (plans change
-	// stream construction and buffer sizing, never semantics).
-	var plan *sim.Plan
-	if !o.noCompiled {
-		if p, perr := sim.CompilePlan(proto, adv); perr == nil {
-			plan = p
-		}
-	}
-
 	b := &batcher{seeder: rng.New(seed), sampler: sampler, samplerInto: o.samplerInto, runs: runs}
 	tallies := make([]runTally, workers)
 	workerMetrics := make([]sim.Metrics, workers)
@@ -314,12 +284,7 @@ func EstimateUtility(proto sim.Protocol, adv sim.Adversary, gamma Payoff,
 		wg.Add(1)
 		go func(w int, worker sim.Adversary) {
 			defer wg.Done()
-			var arena simRunner
-			if plan != nil {
-				arena = sim.NewPlanRunner(plan)
-			} else {
-				arena = sim.NewArena(proto)
-			}
+			arena := sim.NewArena(proto)
 			buf := make([]preparedRun, 0, batch)
 			obs := make([]sim.Observer, 0, 2)
 			for {
@@ -440,16 +405,13 @@ func SupUtilitySpace(proto sim.Protocol, space StrategySpace, gamma Payoff,
 	reports := make([]UtilityReport, len(advs))
 	errs := make([]error, len(advs))
 	estimate := func(i int, adv sim.Adversary, par int) {
-		eopts := make([]Option, 0, 5)
+		eopts := make([]Option, 0, 4)
 		eopts = append(eopts, WithParallelism(par))
 		if o.batchSize > 0 {
-			eopts = append(eopts, WithBatchSize(o.batchSize))
+			eopts = append(eopts, withBatchSize(o.batchSize))
 		}
 		if f := perStrategy(advs[i].Name); f != nil {
 			eopts = append(eopts, WithObserver(f))
-		}
-		if o.noCompiled {
-			eopts = append(eopts, WithCompiledPlans(false))
 		}
 		if o.samplerInto != nil {
 			eopts = append(eopts, WithSamplerInto(o.samplerInto))

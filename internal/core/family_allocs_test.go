@@ -13,13 +13,13 @@ import (
 )
 
 // TestEstimateAllocsPerFamily pins the per-run allocation budget of the
-// compiled hot path for every two-party family that implements the
-// engine's reuse hooks beyond ΠOpt-2SFE (see TestEstimateAllocsCompiled):
+// estimator's hot path for every two-party family that implements the
+// engine's reuse hooks beyond ΠOpt-2SFE (see TestEstimateAllocsMill):
 // Π1 and Π2 (ReusableParty, PartyCopier, payload cells, in-place
 // commitments) and the Gordon–Katz protocols and Π̃ (additionally
 // ScratchSetupProtocol). Each case runs the in-place sampler at
 // parallelism 1 under abort-at-round and lock-and-abort arms, the
-// strategies the search engine races. As in TestEstimateAllocsCompiled,
+// strategies the search engine races. As in TestEstimateAllocsMill,
 // sampled inputs stay below 256, which Go boxes without allocating, so
 // the budget counts the engine and the family, not the test's sampler.
 func TestEstimateAllocsPerFamily(t *testing.T) {

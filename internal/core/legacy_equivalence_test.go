@@ -263,7 +263,7 @@ func TestEstimateAllocs(t *testing.T) {
 		seed++
 	})
 	perRun := allocs / runs
-	const budget = 25
+	const budget = 10
 	if perRun > budget {
 		t.Fatalf("estimator allocates %.1f/run, budget %d", perRun, budget)
 	}

@@ -22,7 +22,7 @@ func FixedInputs(vals ...sim.Value) InputSampler {
 }
 
 // InputSamplerInto is the allocation-free variant of InputSampler for
-// the compiled estimator hot path: it appends one run's input vector to
+// the estimator hot path: it appends one run's input vector to
 // dst (length 0, engine-owned capacity) and returns the filled slice.
 // Installed with WithSamplerInto, it replaces the positional sampler;
 // the estimate is unchanged exactly when it draws from r identically to

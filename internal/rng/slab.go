@@ -4,13 +4,12 @@ import "math/rand"
 
 // Pre-drawn stream slabs.
 //
-// The estimator's compiled execution plans (internal/sim.CompilePlan)
-// record how many values each of a run's RNG streams actually consumes —
-// for ΠOpt-2SFE that is n+2 master draws, ~10 protocol draws and zero
-// adversary/party draws — while Seed pays for all 607 state words of
-// every stream regardless. The slab source closes that gap: it serves
-// the first k outputs of the canonical stream from a prefix computed
-// directly, without constructing the rest of the state.
+// A simulated run consumes only a few values from most of its RNG
+// streams — for ΠOpt-2SFE that is n+2 master draws, ~10 protocol draws
+// and zero adversary/party draws — while Source.Seed pays for all 607
+// state words of every stream regardless. The slab source closes that
+// gap: it serves the first k outputs of the canonical stream from a
+// prefix computed directly, without constructing the rest of the state.
 //
 // The prefix shortcut follows from the generator's shape. After Seed,
 // tap = 0 and feed = rngLen − rngTap, so draw j (0-based) reads
@@ -116,18 +115,19 @@ func Prefix(seed int64, dst []uint64) {
 }
 
 // SlabSource is a rand.Source64 emitting the exact stream of
-// NewSource(seed), built for callers that know (approximately) how many
-// values they will draw between reseeds. Seed pre-draws only the
-// expected prefix — set with SetWant — instead of constructing the full
-// 607-word state: a stream reseeded but never drawn costs nothing, and
-// a stream drawing k ≤ MaxPrefix values costs O(k). A draw past the
-// pre-drawn prefix transparently falls back to the full construction
-// and discards the already-served outputs, so the emitted stream is
-// bit-identical to the canonical source no matter how well SetWant
-// guessed. Served reports the actual consumption since the last Seed,
-// which adaptive callers feed back into SetWant.
+// NewSource(seed), built for a stream reseeded once per simulated run.
+// Seed pre-draws only the expected prefix instead of constructing the
+// full 607-word state: a stream reseeded but never drawn costs nothing,
+// and a stream drawing k ≤ MaxPrefix values costs O(k). The expected
+// prefix is the high-water mark of the draws served between earlier
+// reseeds (raised, never lowered, by each Seed), or SetWant's value if
+// that is larger. A draw past the pre-drawn prefix transparently falls
+// back to the full construction and discards the already-served
+// outputs, so the emitted stream is bit-identical to the canonical
+// source no matter how well the prefix was sized.
 //
-// A SlabSource is not safe for concurrent use.
+// The zero SlabSource is ready to use: unseeded, expecting no draws. A
+// SlabSource is not safe for concurrent use.
 type SlabSource struct {
 	seed   int64
 	want   int
@@ -139,21 +139,21 @@ type SlabSource struct {
 
 var _ rand.Source64 = (*SlabSource)(nil)
 
-// NewSlabSource returns an unseeded slab source expecting no draws.
-func NewSlabSource() *SlabSource { return &SlabSource{} }
-
-// SetWant sets how many outputs the next Seed pre-draws: w ≤ 0 defers
-// all state construction to the first draw, 0 < w ≤ MaxPrefix pre-draws
-// exactly w outputs, and w > MaxPrefix seeds the full generator eagerly
-// (the prefix shortcut cannot reach past MaxPrefix).
+// SetWant sets how many outputs the next Seed pre-draws, for a caller
+// that knows its consumption up front: w ≤ 0 defers all state
+// construction to the first draw, 0 < w ≤ MaxPrefix pre-draws exactly w
+// outputs, and w > MaxPrefix seeds the full generator eagerly (the
+// prefix shortcut cannot reach past MaxPrefix). A later Seed still
+// raises it to the draws served since the previous Seed.
 func (s *SlabSource) SetWant(w int) { s.want = w }
 
-// Served returns how many outputs have been drawn since the last Seed.
-func (s *SlabSource) Served() int { return s.served }
-
 // Seed resets the stream to the state NewSource(seed) starts in,
-// pre-drawing the SetWant prefix. It reuses the receiver's buffers.
+// pre-drawing the expected prefix: the draw high-water mark (see
+// SlabSource). It reuses the receiver's buffers.
 func (s *SlabSource) Seed(seed int64) {
+	if s.served > s.want {
+		s.want = s.served
+	}
 	s.seed = seed
 	s.served = 0
 	s.live = false

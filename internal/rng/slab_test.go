@@ -40,24 +40,54 @@ func TestPrefixTooLongPanics(t *testing.T) {
 
 // TestSlabSourceExact drives a SlabSource past its pre-drawn prefix and
 // checks the emitted stream stays bit-identical to the canonical source,
-// for every want mode (lazy, slab, eager) and across reseeds.
+// for every want mode (lazy, slab, eager), and again after a reseed,
+// whose prefix the high-water mark of the first pass sizes.
 func TestSlabSourceExact(t *testing.T) {
 	const draws = 3 * MaxPrefix
-	s := NewSlabSource()
 	for _, want := range []int{0, 1, 5, 64, MaxPrefix, MaxPrefix + 1, 10 * MaxPrefix} {
 		for _, seed := range slabSeeds {
-			ref := NewSource(seed)
+			s := new(SlabSource)
 			s.SetWant(want)
-			s.Seed(seed)
-			for i := 0; i < draws; i++ {
-				if got, exp := s.Uint64(), ref.Uint64(); got != exp {
-					t.Fatalf("want %d seed %d draw %d: slab %d, source %d", want, seed, i, got, exp)
+			for pass := 0; pass < 2; pass++ {
+				ref := NewSource(seed)
+				s.Seed(seed)
+				for i := 0; i < draws; i++ {
+					if got, exp := s.Uint64(), ref.Uint64(); got != exp {
+						t.Fatalf("want %d seed %d pass %d draw %d: slab %d, source %d", want, seed, pass, i, got, exp)
+					}
+				}
+				if s.served != draws {
+					t.Fatalf("served = %d, want %d", s.served, draws)
 				}
 			}
-			if s.Served() != draws {
-				t.Fatalf("Served = %d, want %d", s.Served(), draws)
-			}
 		}
+	}
+}
+
+// TestSlabSourceHighWater pins the sizing rule: each Seed pre-draws the
+// most any earlier run drew (or the SetWant value, if larger), so a run
+// that draws fewer values never shrinks the slab.
+func TestSlabSourceHighWater(t *testing.T) {
+	s := new(SlabSource)
+	s.SetWant(2)
+	for _, tc := range []struct{ draw, slab int }{
+		{0, 2}, {5, 2}, {1, 5}, {9, 5}, {3, 9}, {0, 9},
+	} {
+		s.Seed(11)
+		if len(s.slab) != tc.slab {
+			t.Fatalf("slab = %d, want %d", len(s.slab), tc.slab)
+		}
+		for i := 0; i < tc.draw; i++ {
+			s.Uint64()
+		}
+	}
+	// Past MaxPrefix the full state is built eagerly.
+	for i := 0; i <= MaxPrefix; i++ {
+		s.Uint64()
+	}
+	s.Seed(11)
+	if !s.live || len(s.slab) != 0 {
+		t.Fatalf("after a %d-draw run: live %v, slab %d; want an eager full seed", MaxPrefix+1, s.live, len(s.slab))
 	}
 }
 
@@ -65,7 +95,7 @@ func TestSlabSourceExact(t *testing.T) {
 // including the Read path (rand.Rand carries read-buffer state that
 // Seed must reset) and the derived Intn/Float64 draws the engine uses.
 func TestSlabSourceUnderRand(t *testing.T) {
-	s := NewSlabSource()
+	s := new(SlabSource)
 	s.SetWant(8)
 	r := rand.New(s)
 	for _, seed := range slabSeeds {
@@ -102,7 +132,7 @@ func TestSlabSourceUnderRand(t *testing.T) {
 // TestSlabSourceNoAllocSteadyState pins the per-reseed cost: once the
 // slab buffer exists, SetWant+Seed+draws must not allocate.
 func TestSlabSourceNoAllocSteadyState(t *testing.T) {
-	s := NewSlabSource()
+	s := new(SlabSource)
 	s.SetWant(32)
 	s.Seed(1) // warm the slab buffer
 	allocs := testing.AllocsPerRun(100, func() {
@@ -126,7 +156,7 @@ func BenchmarkSeedFull(b *testing.B) {
 }
 
 func BenchmarkSeedSlab16(b *testing.B) {
-	s := NewSlabSource()
+	s := new(SlabSource)
 	s.SetWant(16)
 	s.Seed(1)
 	b.ReportAllocs()

@@ -77,10 +77,6 @@ type Options struct {
 	// Parallelism is the worker count inside each arm estimate (<= 0
 	// selects the estimator default).
 	Parallelism int
-	// BatchSize is the estimator batch size (<= 0 selects the default).
-	BatchSize int
-	// NoCompiledPlans disables compiled execution plans (debugging only).
-	NoCompiledPlans bool
 	// Checkpoint, when non-empty, streams the record sequence to this
 	// JSONL file. If the file already exists it is resumed: completed
 	// records replay (their measured counts substitute for simulation)
@@ -202,8 +198,8 @@ func baseParams(protoName, space string, gamma core.Payoff) string {
 }
 
 // ParamString is the search's canonical parameter string: every knob
-// that can change the result, and nothing that cannot (parallelism,
-// batch size, checkpoint paths are scheduling-only). The service layer
+// that can change the result, and nothing that cannot (parallelism and
+// checkpoint paths are scheduling-only). The service layer
 // keys its result cache with KeyHash over exactly this string.
 func ParamString(protoName, space string, gamma core.Payoff, o Options) string {
 	o = o.withDefaults()
@@ -389,17 +385,8 @@ func (e *engine) interval(a *arm) error {
 // estimate runs `runs` fresh simulations of the arm at the given seed
 // and returns the outcome counts.
 func (e *engine) estimate(a *arm, runs int, seed int64) ([4]int64, core.UtilityReport, error) {
-	opts := []core.Option{
-		core.WithParallelism(e.o.Parallelism),
-		core.WithMetrics(&e.metrics),
-	}
-	if e.o.BatchSize > 0 {
-		opts = append(opts, core.WithBatchSize(e.o.BatchSize))
-	}
-	if e.o.NoCompiledPlans {
-		opts = append(opts, core.WithCompiledPlans(false))
-	}
-	rep, err := core.EstimateUtility(e.proto, a.adv, e.gamma, e.sampler, runs, seed, opts...)
+	rep, err := core.EstimateUtility(e.proto, a.adv, e.gamma, e.sampler, runs, seed,
+		core.WithParallelism(e.o.Parallelism), core.WithMetrics(&e.metrics))
 	if err != nil {
 		return [4]int64{}, core.UtilityReport{}, fmt.Errorf("search: arm %q: %w", a.name, err)
 	}

@@ -172,7 +172,7 @@ func TestRecoversOptimal(t *testing.T) {
 }
 
 // TestSearchDeterministicAcrossParallelism pins the scheduling-only
-// contract: parallelism and batch size never change the report.
+// contract: parallelism never changes the report.
 func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	f := acceptanceFamilies(t)[0]
 	o := acceptanceOptions
@@ -184,7 +184,6 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Parallelism = 4
-	o.BatchSize = 3
 	r2, err := search.Run(f.proto, f.space, f.gamma, f.sampler, 7, o)
 	if err != nil {
 		t.Fatal(err)

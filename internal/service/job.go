@@ -43,8 +43,8 @@ type Params interface {
 	// paramString is the canonical parameter encoding hashed (together
 	// with the seed) into the cache key. It must cover everything that
 	// can change the result and nothing that cannot: scheduling-only
-	// knobs (parallelism, batch size, compiled plans) are excluded by
-	// the estimator's determinism contract. Empty means "not cacheable".
+	// knobs (parallelism) are excluded by the estimator's determinism
+	// contract. Empty means "not cacheable".
 	paramString() string
 	// seed is the seed hashed into the cache key next to paramString.
 	seed() int64
@@ -140,9 +140,9 @@ func (p SupParams) paramString() string {
 
 func (p SupParams) seed() int64 { return p.Seed }
 
-// SweepParams wraps a sweep.Spec as a job. The spec's scheduling knobs
-// (Parallelism, BatchSize, NoCompiledPlans) are excluded from the cache
-// key — the sweep documents that they never change any record.
+// SweepParams wraps a sweep.Spec as a job. The spec's scheduling knob
+// (Parallelism) is excluded from the cache key — the sweep documents
+// that it never changes any record.
 type SweepParams struct {
 	Spec sweep.Spec `json:"spec"`
 }

@@ -7,9 +7,8 @@
 // requests are free.
 //
 // The cache is sound because of the estimator's determinism contract:
-// an estimate is a pure function of (params, seed) — parallelism, batch
-// size, observers, and compiled plans change scheduling only, never
-// results — so two submissions with equal canonical parameter strings
+// an estimate is a pure function of (params, seed) — parallelism and
+// observers change scheduling only, never results — so two submissions with equal canonical parameter strings
 // and seeds would compute bit-identical reports. Serving the second
 // from cache returns the same bits without the work. Scheduling-only
 // knobs are accordingly excluded from cache keys, and jobs that carry

@@ -1,11 +1,12 @@
 package sim
 
 // Arena replays many runs of one protocol on a single reused Execution:
-// the allocation-lean hot path of the Monte-Carlo estimator. Where Run
-// allocates a fresh engine per call, an Arena resets the same one —
-// trace maps are cleared, inbox lanes and scratch buffers truncated,
-// and the RNG streams reseeded in place (see Execution.reset) — so the
-// steady-state cost of a run is the protocol's own work.
+// the run engine of the Monte-Carlo estimator and of Run. An Arena
+// resets the same Execution for every run — trace maps are cleared,
+// inbox lanes and scratch buffers truncated (keeping their capacity),
+// and the RNG streams reseeded in place, each pre-drawing only what
+// earlier runs drew from it (see Execution.reset and rng.SlabSource) —
+// so the steady-state cost of a run is the protocol's own work.
 //
 // Determinism: Arena.Run produces a trace reflect.DeepEqual-identical
 // to Run(proto, inputs, adv, seed) for every (inputs, adv, seed),
@@ -27,7 +28,7 @@ type Arena struct {
 
 // NewArena returns an arena for proto.
 func NewArena(proto Protocol) *Arena {
-	return &Arena{exec: newExecutionShell(proto, false)}
+	return &Arena{exec: newExecutionShell(proto)}
 }
 
 // Run executes one protocol instance against the adversary with the

@@ -1,10 +1,12 @@
 package sim_test
 
-// Arena-parity test: a reused Arena must produce traces
+// Arena-parity tests: a reused Arena must produce traces
 // reflect.DeepEqual-identical to one-shot sim.Run for every protocol ×
 // adversary pair the experiment harness exercises, regardless of what
-// ran on the arena before. This is the reuse half of the estimator's
-// determinism contract (the frozen-legacy half is parity_test.go).
+// ran on the arena before — including runs that drew more randomness
+// than the arena's RNG slabs had pre-drawn, and runs that failed. This
+// is the reuse half of the estimator's determinism contract (the
+// frozen-legacy half is parity_test.go).
 
 import (
 	"reflect"
@@ -44,27 +46,132 @@ func TestArenaMatchesRun(t *testing.T) {
 	}
 }
 
-// TestArenaRunAllocs pins the allocation-lean property the Arena exists
-// for: a steady-state ΠOpt-2SFE run must stay within a small allocation
-// budget (protocol machine construction and sharing included).
-func TestArenaRunAllocs(t *testing.T) {
-	proto := twoparty.New(twoparty.Swap())
-	adv := adversary.NewLockAbort(1)
-	inputs := []sim.Value{uint64(111), uint64(222)}
-	arena := sim.NewArena(proto)
-	if _, err := arena.Run(inputs, adv, 0); err != nil {
-		t.Fatal(err)
+// hungryAdv draws a run-dependent amount of adversary-stream randomness
+// per run, so the arena's adversary stream keeps drawing past the slab
+// that earlier runs sized: the mid-run fallback to a full seed, then an
+// eager full seed once a run has drawn past rng.MaxPrefix. It corrupts
+// party 1 and substitutes its input with the last value drawn, so the
+// trace shows the drawn values.
+type hungryAdv struct {
+	sim.Passive
+	draws func(run int64) int
+	n     int64
+	last  uint64
+}
+
+func (h *hungryAdv) Reset(ctx *sim.AdvContext) {
+	h.n++
+	h.last = 0
+	for i := h.draws(h.n); i > 0; i-- {
+		h.last = uint64(ctx.RNG.Intn(256))
 	}
-	seed := int64(1)
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := arena.Run(inputs, adv, seed); err != nil {
+}
+
+func (h *hungryAdv) InitialCorruptions() []sim.PartyID { return []sim.PartyID{1} }
+
+func (h *hungryAdv) SubstituteInput(sim.PartyID, sim.Value) sim.Value { return h.last }
+
+func (h *hungryAdv) CloneAdversary() sim.Adversary { return &hungryAdv{draws: h.draws} }
+
+func TestArenaOverdraw(t *testing.T) {
+	proto := twoparty.New(twoparty.Swap())
+	inputs := []sim.Value{uint64(111), uint64(222)}
+	draws := func(run int64) int { return int(run%7) * 97 }
+	arena := sim.NewArena(proto)
+	// Both instances count their runs, so run k draws the same amount on
+	// either side; only the reference gets a fresh engine per run.
+	arenaAdv := &hungryAdv{draws: draws}
+	refAdv := &hungryAdv{draws: draws}
+	for seed := int64(0); seed < 30; seed++ {
+		got, err := arena.Run(inputs, arenaAdv, seed)
+		if err != nil {
 			t.Fatal(err)
 		}
-		seed++
-	})
-	const budget = 25
-	if allocs > budget {
-		t.Fatalf("arena run allocates %.1f times, budget %d", allocs, budget)
+		want, err := sim.Run(proto, inputs, refAdv, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("seed %d: traces diverge under overdraw", seed)
+		}
 	}
-	t.Logf("arena run: %.1f allocs", allocs)
+}
+
+// TestArenaErrorsMatchRun pins that an arena run fails exactly as a
+// fresh run fails — same error, no partial state leaking into the next
+// run on the arena.
+func TestArenaErrorsMatchRun(t *testing.T) {
+	proto := twoparty.New(twoparty.Function{
+		Name: "sometimes-out-of-range",
+		Eval: func(x1, x2 uint64) uint64 {
+			if x1 == 13 {
+				return ^uint64(0)
+			}
+			return x1 + x2
+		},
+	})
+	arena := sim.NewArena(proto)
+	adv := adversary.NewLockAbort(1)
+	bad := []sim.Value{uint64(13), uint64(2)}
+	good := []sim.Value{uint64(5), uint64(9)}
+	if _, err := arena.Run(good, adv, 2); err != nil {
+		t.Fatal(err)
+	}
+	_, arenaErr := arena.Run(bad, adv, 3)
+	_, runErr := sim.Run(proto, bad, adversary.NewLockAbort(1), 3)
+	if arenaErr == nil || runErr == nil || arenaErr.Error() != runErr.Error() {
+		t.Fatalf("error mismatch: arena %v, run %v", arenaErr, runErr)
+	}
+	// The failed run must not poison the next one.
+	got, err := arena.Run(good, adv, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(proto, good, adversary.NewLockAbort(1), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("post-error traces diverge")
+	}
+}
+
+// TestArenaRunAllocs pins the allocation-lean property the Arena exists
+// for: a steady-state ΠOpt-2SFE run stays within a small allocation
+// budget (protocol machine construction and sharing included), and with
+// millionaires' small inputs and outputs, which box into Value without
+// allocating, the engine itself allocates next to nothing.
+func TestArenaRunAllocs(t *testing.T) {
+	cases := []struct {
+		name   string
+		fn     twoparty.Function
+		budget float64
+	}{
+		{"swap", twoparty.Swap(), 10},
+		{"millionaires", twoparty.Millionaires(), 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			arena := sim.NewArena(twoparty.New(tc.fn))
+			adv := adversary.NewLockAbort(1)
+			inputs := []sim.Value{uint64(111), uint64(222)}
+			// Warm up past first-run growth (slab sizes, lane capacity).
+			for seed := int64(0); seed < 8; seed++ {
+				if _, err := arena.Run(inputs, adv, seed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seed := int64(100)
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := arena.Run(inputs, adv, seed); err != nil {
+					t.Fatal(err)
+				}
+				seed++
+			})
+			if allocs > tc.budget {
+				t.Fatalf("arena run allocates %.1f times, budget %g", allocs, tc.budget)
+			}
+			t.Logf("arena run: %.1f allocs", allocs)
+		})
+	}
 }

@@ -44,6 +44,12 @@ const (
 // touches a reseeded stream), and machines of protocols implementing
 // ReusableParty are re-initialized in place.
 //
+// Every RNG stream (master, protocol, adversary and party) is an
+// rng.SlabSource: it emits exactly the stream of a freshly seeded
+// rng.Source, but a reseed pre-draws only as many values as earlier
+// runs on this execution drew from it, so a stream that is never drawn
+// costs nothing and the first run seeds each drawn stream in full.
+//
 // Every per-run allocation (trace maps, inbox lanes, RNG streams, the
 // adversary context, scratch buffers) lives on the Execution and is
 // reinitialized in place by reset, so an Arena can replay millions of
@@ -55,11 +61,6 @@ type Execution struct {
 	obs   []Observer
 	// protoName caches proto.Name() (some protocols format it).
 	protoName string
-	// streams, when non-nil, routes every RNG stream (master, protocol,
-	// adversary and party) through slab sources instead of fully seeded
-	// ones; the plan runner sets the per-stream pre-draw sizes before
-	// each run. The emitted streams are bit-identical either way.
-	streams *execStreams
 	// setupFn replaces proto.Setup when the protocol implements
 	// ScratchSetupProtocol (one scratch evaluator per Execution).
 	setupFn func(inputs []Value, rng *rand.Rand) ([]Value, error)
@@ -109,10 +110,14 @@ type Execution struct {
 }
 
 // newExecutionShell builds an Execution skeleton bound to a protocol but
-// no run; reset readies it for one. slab routes every RNG stream through
-// slab sources, for plan-driven executions.
-func newExecutionShell(proto Protocol, slab bool) *Execution {
+// no run; reset readies it for one.
+func newExecutionShell(proto Protocol) *Execution {
 	n := proto.NumParties()
+	// The master stream draws exactly n+2 values per run (the protocol
+	// seed, the adversary seed, then one per party), so its slab is sized
+	// once; the other streams size theirs from the runs they serve.
+	master := new(rng.SlabSource)
+	master.SetWant(n + 2)
 	e := &Execution{
 		proto:       proto,
 		protoName:   proto.Name(),
@@ -120,9 +125,10 @@ func newExecutionShell(proto Protocol, slab bool) *Execution {
 		totalRounds: proto.NumRounds() + 1, // +1 finalize call
 		machines:    make([]Party, n),
 		partyRNGs:   make([]*rand.Rand, n),
-	}
-	if slab {
-		e.streams = newExecStreams(n)
+		partySeeds:  make([]int64, n),
+		master:      rand.New(master),
+		protoRNG:    rand.New(new(rng.SlabSource)),
+		advRNG:      rand.New(new(rng.SlabSource)),
 	}
 	if sp, ok := proto.(ScratchSetupProtocol); ok {
 		e.setupFn = sp.NewSetupScratch()
@@ -141,29 +147,9 @@ func (e *Execution) reset(inputs []Value, adv Adversary, seed int64, obs []Obser
 	}
 	e.adv = adv
 	e.obs = obs
-	if e.master == nil {
-		if st := e.streams; st != nil {
-			// The master stream draws exactly 2+n values per run (the
-			// protocol seed, the adversary seed, then one per party), so
-			// its slab want is fixed once.
-			st.master.SetWant(e.n + 2)
-			e.master = rand.New(st.master)
-			e.master.Seed(seed)
-			e.protoRNG = rand.New(st.proto)
-			e.protoRNG.Seed(e.master.Int63())
-			e.advRNG = rand.New(st.adv)
-			e.advRNG.Seed(e.master.Int63())
-		} else {
-			e.master = rng.New(seed)
-			e.protoRNG = rng.New(e.master.Int63())
-			e.advRNG = rng.New(e.master.Int63())
-		}
-		e.partySeeds = make([]int64, e.n)
-	} else {
-		e.master.Seed(seed)
-		e.protoRNG.Seed(e.master.Int63())
-		e.advRNG.Seed(e.master.Int63())
-	}
+	e.master.Seed(seed)
+	e.protoRNG.Seed(e.master.Int63())
+	e.advRNG.Seed(e.master.Int63())
 	for i := range e.partySeeds {
 		e.partySeeds[i] = e.master.Int63()
 	}
@@ -245,7 +231,7 @@ func (e *Execution) reset(inputs []Value, adv Adversary, seed int64, obs []Obser
 // RNG streams (in the same master order as the classic Run) and resets
 // the adversary. No protocol code runs until SetupPhase.
 func NewExecution(proto Protocol, inputs []Value, adv Adversary, seed int64, obs ...Observer) (*Execution, error) {
-	e := newExecutionShell(proto, false)
+	e := newExecutionShell(proto)
 	if err := e.reset(inputs, adv, seed, obs); err != nil {
 		return nil, err
 	}
@@ -282,16 +268,11 @@ func (e *Execution) corruptedID(id PartyID) bool {
 // builds a fresh one.
 func (e *Execution) startParty(i int, input, setupOut Value, setupAborted bool) error {
 	r := e.partyRNGs[i]
-	switch {
-	case r != nil:
-		r.Seed(e.partySeeds[i])
-	case e.streams != nil:
-		r = rand.New(e.streams.party[i])
-		r.Seed(e.partySeeds[i])
-	default:
-		r = rng.New(e.partySeeds[i])
+	if r == nil {
+		r = rand.New(new(rng.SlabSource))
+		e.partyRNGs[i] = r
 	}
-	e.partyRNGs[i] = r
+	r.Seed(e.partySeeds[i])
 	id := PartyID(i + 1)
 	if ru, ok := e.machines[i].(ReusableParty); ok && ru.Reinit(id, input, setupOut, setupAborted, r) {
 		return nil

@@ -375,10 +375,9 @@ var (
 )
 
 // Run executes one protocol instance against the adversary with the given
-// seed and returns the trace. It is a thin wrapper over the stepwise
-// Execution engine (NewExecution → SetupPhase → Step → Finalize); callers
-// that need per-round control or the engine's event stream use Execution
-// and Observer directly.
+// seed and returns the trace: one run on a fresh Arena, whose trace
+// nothing invalidates. Callers that need per-round control use
+// NewExecution and its phases directly.
 func Run(proto Protocol, inputs []Value, adv Adversary, seed int64) (*Trace, error) {
 	return RunObserved(proto, inputs, adv, seed)
 }
@@ -386,19 +385,7 @@ func Run(proto Protocol, inputs []Value, adv Adversary, seed int64) (*Trace, err
 // RunObserved is Run with the engine's event stream fanned out to the
 // given observers (see the ordering contract on Observer).
 func RunObserved(proto Protocol, inputs []Value, adv Adversary, seed int64, obs ...Observer) (*Trace, error) {
-	e, err := NewExecution(proto, inputs, adv, seed, obs...)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.SetupPhase(); err != nil {
-		return nil, err
-	}
-	for r := 1; r <= e.TotalRounds(); r++ {
-		if err := e.Step(r); err != nil {
-			return nil, err
-		}
-	}
-	return e.Finalize()
+	return NewArena(proto).Run(inputs, adv, seed, obs...)
 }
 
 func sortStableBySender(ms []Message) {

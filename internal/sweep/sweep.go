@@ -93,13 +93,6 @@ type Spec struct {
 	// Parallelism is the per-cell estimator worker count (0 = one per
 	// CPU). It never changes any record — see core.EstimateUtility.
 	Parallelism int
-	// BatchSize is the estimator batch size (0 = default).
-	BatchSize int
-	// NoCompiledPlans disables the estimator's compiled execution plans
-	// (core.WithCompiledPlans), pinning every cell to the interpreter.
-	// Like Parallelism it never changes any record — compiled runs are
-	// bit-identical — so it exists only for engine debugging.
-	NoCompiledPlans bool
 
 	// ControlVariates enables exact-residual estimation
 	// (core.WithControlVariate) on cells backed by an exact law —
@@ -541,12 +534,6 @@ func (s *Sweep) runCell(c Cell) (Record, error) {
 	}
 	sampler := buildSampler(c.Family, c.N)
 	opts := []core.Option{core.WithParallelism(s.Spec.Parallelism)}
-	if s.Spec.BatchSize > 0 {
-		opts = append(opts, core.WithBatchSize(s.Spec.BatchSize))
-	}
-	if s.Spec.NoCompiledPlans {
-		opts = append(opts, core.WithCompiledPlans(false))
-	}
 	cellSpan := span(c.Gamma)
 	cvNote := ""
 	if s.Spec.ControlVariates && c.Family == "gk" && c.Adv == "firsthit" {
@@ -572,12 +559,7 @@ func (s *Sweep) runCell(c Cell) (Record, error) {
 		// resolution the exhaustive sup cell would use — the margin
 		// arithmetic below sees an estimate of identical sample size —
 		// while racing spends at most c.Runs per eliminated rival.
-		so := search.Options{
-			RaceRuns: c.Runs, FinalRuns: c.Runs,
-			Parallelism:     s.Spec.Parallelism,
-			BatchSize:       s.Spec.BatchSize,
-			NoCompiledPlans: s.Spec.NoCompiledPlans,
-		}
+		so := search.Options{RaceRuns: c.Runs, FinalRuns: c.Runs, Parallelism: s.Spec.Parallelism}
 		srep, err := search.Run(proto, core.SliceSpace(buildSpace(c, proto)), c.Gamma, sampler, c.Seed, so)
 		if err != nil {
 			return Record{}, fmt.Errorf("sweep: cell %s: %w", c.Key, err)
