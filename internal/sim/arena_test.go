@@ -46,6 +46,47 @@ func TestArenaMatchesRun(t *testing.T) {
 	}
 }
 
+// TestPlanRunnerMatchesArena pins the Arena's slab sizing against a cold
+// engine on every parity pair: one long-lived Arena, whose streams are
+// first sized by a probe run at a far seed and then by every run it
+// serves, must return the traces and observer Metrics of a fresh
+// sim.RunObserved at every seed, negative seeds included. The name is
+// kept from the compiled plan runner, whose pre-sized streams the
+// Arena's high-water sizing replaced.
+func TestPlanRunnerMatchesArena(t *testing.T) {
+	seeds := []int64{1 << 40}
+	for seed := int64(-3); seed < 12; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, tc := range parityCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			proto, inputs, err := tc.proto()
+			if err != nil {
+				t.Fatal(err)
+			}
+			arena := sim.NewArena(proto)
+			adv := tc.newAdv()
+			for _, seed := range seeds {
+				var gotM, wantM sim.Metrics
+				got, gotErr := arena.Run(inputs, adv, seed, &gotM)
+				want, wantErr := sim.RunObserved(proto, inputs, tc.newAdv(), seed, &wantM)
+				if (wantErr == nil) != (gotErr == nil) {
+					t.Fatalf("seed %d: run err %v, arena err %v", seed, wantErr, gotErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("seed %d: traces diverge\nrun:   %+v\narena: %+v", seed, want, got)
+				}
+				if wantM != gotM {
+					t.Fatalf("seed %d: metrics diverge\nrun:   %+v\narena: %+v", seed, wantM, gotM)
+				}
+			}
+		})
+	}
+}
+
 // hungryAdv draws a run-dependent amount of adversary-stream randomness
 // per run, so the arena's adversary stream keeps drawing past the slab
 // that earlier runs sized: the mid-run fallback to a full seed, then an
