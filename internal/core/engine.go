@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -34,9 +33,9 @@ type options struct {
 
 // WithParallelism sets the worker count: 1 forces a single worker,
 // values <= 0 select DefaultParallelism (the default). Workers never
-// share mutable attacker state — each gets its own strategy via
-// sim.CloneAdversary, and a non-cloneable strategy falls back to a
-// single worker.
+// share mutable attacker state — a worker that joins an estimate
+// another worker started runs its own strategy via sim.CloneAdversary,
+// and a non-cloneable strategy never runs on more than one worker.
 func WithParallelism(parallelism int) Option {
 	return func(o *options) { o.parallelism = parallelism }
 }
@@ -59,14 +58,16 @@ func WithObserver(factory ObserverFactory) Option {
 
 // WithSupObserver attaches a per-run observer factory keyed by strategy
 // label, for SupUtility searches (see SupObserverFactory). It takes
-// precedence over WithObserver; EstimateUtility ignores it.
+// precedence over WithObserver; EstimateUtility and EstimateJobs ignore
+// it.
 func WithSupObserver(factory SupObserverFactory) Option {
 	return func(o *options) { o.supFactory = factory }
 }
 
 // WithMetrics accumulates the estimation's merged engine counters into
-// *m (the same totals as UtilityReport.Metrics / SupReport.Metrics), so
-// a caller aggregating over many estimations needs no manual merging.
+// *m (the same totals as UtilityReport.Metrics / SupReport.Metrics, or
+// the sum over EstimateJobs' successful jobs), so a caller aggregating
+// over many estimations needs no manual merging.
 func WithMetrics(m *sim.Metrics) Option {
 	return func(o *options) { o.metrics = m }
 }
@@ -99,16 +100,17 @@ type preparedRun struct {
 	seed   int64
 }
 
-// batcher streams (inputs, seed) jobs to the estimation workers in the
-// estimator's canonical order. This is the determinism contract: the
-// master stream is consumed exactly as the original sequential loop
-// consumed it (sampler first, then Int63, per run), one batch at a
-// time under the lock, so run i receives the same job no matter how
-// many workers lease batches or in what order they arrive — without
-// materializing an O(runs) job slice up front.
+// batcher streams one estimate's (inputs, seed) jobs to the workers in
+// the estimator's canonical order. This is the determinism contract:
+// the estimate's master stream is consumed exactly as the original
+// sequential loop consumed it (sampler first, then Int63, per run), one
+// batch at a time under the lock, so run i receives the same job no
+// matter how many workers lease batches or in what order they arrive —
+// without materializing an O(runs) job slice up front.
 type batcher struct {
 	mu          sync.Mutex
-	seeder      *rand.Rand
+	seed        int64
+	seeder      *rand.Rand // seeded from seed on the first lease
 	sampler     InputSampler
 	samplerInto InputSamplerInto
 	next        int
@@ -122,6 +124,9 @@ type batcher struct {
 func (b *batcher) fill(buf []preparedRun) (int, []preparedRun) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.seeder == nil {
+		b.seeder = rng.New(b.seed)
+	}
 	base := b.next
 	k := b.runs - b.next
 	if k > cap(buf) {
@@ -138,6 +143,13 @@ func (b *batcher) fill(buf []preparedRun) (int, []preparedRun) {
 	}
 	b.next += k
 	return base, buf
+}
+
+// left is the number of runs no worker has leased yet.
+func (b *batcher) left() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.runs - b.next
 }
 
 // runTally is one worker's streaming outcome tally: integer counts
@@ -222,17 +234,250 @@ type runError struct {
 	err error
 }
 
+// Job is one estimate of an EstimateJobs call: Runs seeded simulations
+// of strategy Adv from master seed Seed. Observe, when non-nil, builds
+// the observers of the job's runs (indexed 0..Runs-1 within the job)
+// in place of the call's WithObserver factory.
+type Job struct {
+	Adv     sim.Adversary
+	Runs    int
+	Seed    int64
+	Observe ObserverFactory
+}
+
+// JobReport is one job's result: the report EstimateUtility gives for
+// the job alone, the exact outcome counts behind it (canonical E00..E11
+// order), or the job's own error — a failing job fails no other.
+type JobReport struct {
+	UtilityReport
+	Events [4]int64
+	Err    error
+}
+
+// jobState is one job's place in an EstimateJobs schedule.
+type jobState struct {
+	Job
+	b batcher
+	// clones are the strategy instances of the workers that may join the
+	// job, made before any worker runs it; none for a strategy that
+	// cannot be cloned, which only its starter runs.
+	clones []sim.Adversary
+}
+
+// schedule hands an EstimateJobs call's jobs to its workers.
+type schedule struct {
+	mu   sync.Mutex
+	jobs []jobState
+	next int // the first job no worker has started
+}
+
+// take returns the job the calling worker leases runs from next, with
+// the strategy instance it runs them on, or -1 when no job has runs
+// left to lease. Unstarted jobs go first, in job order, on the job's
+// own strategy; once every job has started, the worker joins the
+// started job with the most runs left that has a clone to spare.
+func (s *schedule) take() (int, sim.Adversary) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.next < len(s.jobs) {
+		i := s.next
+		s.next++
+		if s.jobs[i].Runs > 0 {
+			return i, s.jobs[i].Adv
+		}
+	}
+	best, most := -1, 0
+	for i := range s.jobs {
+		if left := s.jobs[i].b.left(); len(s.jobs[i].clones) > 0 && left > most {
+			best, most = i, left
+		}
+	}
+	if best < 0 {
+		return -1, nil
+	}
+	j := &s.jobs[best]
+	c := j.clones[len(j.clones)-1]
+	j.clones = j.clones[:len(j.clones)-1]
+	return best, c
+}
+
+// share is one worker's part of one job: its outcome tally, engine
+// counters and first failed run. A worker leases a job's runs in
+// increasing order, so that failure is its lowest-index one. Each
+// worker allocates its own shares, so workers never write to adjacent
+// slots of one slice.
+type share struct {
+	job     int
+	tally   runTally
+	metrics sim.Metrics
+	failed  runError
+}
+
+// work is one worker: it takes jobs until none has runs left, replays
+// every leased run on its one arena, and returns a share per job it
+// touched.
+func (s *schedule) work(proto sim.Protocol, factory ObserverFactory, batch int) []*share {
+	var arena *sim.Arena
+	var shares []*share
+	buf := make([]preparedRun, 0, batch)
+	obs := make([]sim.Observer, 0, 2)
+	for {
+		i, adv := s.take()
+		if i < 0 {
+			return shares
+		}
+		if arena == nil {
+			arena = sim.NewArena(proto)
+		}
+		j := &s.jobs[i]
+		observe := j.Observe
+		if observe == nil {
+			observe = factory
+		}
+		sh := &share{job: i}
+		shares = append(shares, sh)
+		for {
+			base, runs := j.b.fill(buf)
+			if len(runs) == 0 {
+				break
+			}
+			for k := range runs {
+				run := base + k
+				obs = append(obs[:0], &sh.metrics)
+				if observe != nil {
+					if ob := observe(run); ob != nil {
+						obs = append(obs, ob)
+					}
+				}
+				tr, err := arena.Run(runs[k].inputs, adv, runs[k].seed, obs...)
+				if err == nil {
+					err = sh.tally.add(Classify(tr))
+				}
+				if err != nil && sh.failed.err == nil {
+					sh.failed = runError{run: run, err: err}
+				}
+			}
+		}
+	}
+}
+
+// EstimateJobs estimates independent jobs against one protocol, payoff
+// and sampler on one set of workers, and returns their reports in job
+// order. Every report is exactly what EstimateUtility returns for its
+// job alone at any parallelism: jobs are scheduling units, never
+// statistical ones.
+//
+// Each worker keeps one sim.Arena for the whole call. It leases batches
+// of runs from its current job until the job runs dry, then starts the
+// next unstarted job; only when every job has started does it join a
+// started one, on a clone of its strategy (never for a non-cloneable
+// strategy). So a wave of short estimates runs side by side, one per
+// worker, and a lone estimate is split across every worker as
+// EstimateUtility splits it.
+//
+// WithObserver applies to jobs without their own Observe; WithMetrics
+// accumulates the successful jobs' counters. A job with Runs <= 0
+// reports ErrNoRuns.
+func EstimateJobs(proto sim.Protocol, jobs []Job, gamma Payoff, sampler InputSampler, opts ...Option) []JobReport {
+	return estimateJobs(proto, jobs, gamma, sampler, resolveOptions(opts))
+}
+
+func estimateJobs(proto sim.Protocol, jobs []Job, gamma Payoff, sampler InputSampler, o options) []JobReport {
+	workers := o.parallelism
+	if workers <= 0 {
+		workers = DefaultParallelism()
+	}
+	batch := o.batchSize
+	if batch <= 0 {
+		batch = defaultBatchSize
+	}
+	s := &schedule{jobs: make([]jobState, len(jobs))}
+	busy, longest := 0, 0 // the most workers the jobs can keep busy; the longest job
+	for _, j := range jobs {
+		if j.Runs > 0 {
+			busy += min(j.Runs, workers)
+			longest = max(longest, j.Runs)
+		}
+	}
+	workers = min(workers, busy)
+	batch = min(batch, longest)
+	for i, j := range jobs {
+		s.jobs[i].Job = j
+		if j.Runs <= 0 {
+			continue
+		}
+		s.jobs[i].b = batcher{seed: j.Seed, sampler: sampler, samplerInto: o.samplerInto, runs: j.Runs}
+		// Every other worker joins a job at most once, and only while it
+		// has a batch left after its starter's first lease.
+		for k := min(workers, (j.Runs-1)/batch+1) - 1; k > 0; k-- {
+			c, ok := sim.CloneAdversary(j.Adv)
+			if !ok {
+				break
+			}
+			s.jobs[i].clones = append(s.jobs[i].clones, c)
+		}
+	}
+
+	parts := make([][]*share, workers)
+	var wg sync.WaitGroup
+	for w := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[w] = s.work(proto, o.factory, batch)
+		}()
+	}
+	wg.Wait()
+
+	merged := make([]share, len(jobs))
+	for _, part := range parts {
+		for _, sh := range part {
+			m := &merged[sh.job]
+			m.tally.merge(sh.tally)
+			m.metrics.Add(sh.metrics)
+			if f := sh.failed; f.err != nil && (m.failed.err == nil || f.run < m.failed.run) {
+				m.failed = f
+			}
+		}
+	}
+	out := make([]JobReport, len(jobs))
+	for i, j := range jobs {
+		m := &merged[i]
+		if j.Runs <= 0 {
+			out[i].Err = ErrNoRuns
+			continue
+		}
+		// Deterministic error reporting: the lowest-index failure,
+		// phrased exactly as the classic sequential loop phrased it.
+		if m.failed.err != nil {
+			out[i].Err = fmt.Errorf("core: run %d: %w", m.failed.run, m.failed.err)
+			continue
+		}
+		rep, err := m.tally.report(gamma, j.Runs, o.cv)
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
+		rep.Metrics = m.metrics
+		out[i] = JobReport{UtilityReport: rep, Events: m.tally.events}
+		if o.metrics != nil {
+			o.metrics.Add(m.metrics)
+		}
+	}
+	return out
+}
+
 // EstimateUtility measures the attacker utility of strategy adv against
 // proto under payoff gamma by repeated seeded simulation: the empirical
 // version of Equation (2) for a fixed (adversary, environment) pair.
 //
 // The estimate is a pure function of (runs, seed): parallelism and
 // observers change how the runs are scheduled, never what they compute.
-// Workers lease batches of (inputs, seed) jobs drawn in the canonical
-// master-stream order, replay them on per-worker sim.Arenas (reused
-// execution state and self-sizing RNG slabs, no per-run engine
-// allocation), and keep integer outcome tallies that merge
-// order-independently into the report.
+// It is EstimateJobs' one-job case: workers lease batches of (inputs,
+// seed) jobs drawn in the canonical master-stream order, replay them on
+// per-worker sim.Arenas (reused execution state and self-sizing RNG
+// slabs, no per-run engine allocation), and keep integer outcome
+// tallies that merge order-independently into the report.
 //
 // WithControlVariate is the deliberate exception to that purity: it
 // changes the estimator itself (same expectation, smaller variance). It
@@ -240,108 +485,8 @@ type runError struct {
 // frozen contract.
 func EstimateUtility(proto sim.Protocol, adv sim.Adversary, gamma Payoff,
 	sampler InputSampler, runs int, seed int64, opts ...Option) (UtilityReport, error) {
-	o := resolveOptions(opts)
-	if runs <= 0 {
-		return UtilityReport{}, ErrNoRuns
-	}
-	workers := o.parallelism
-	if workers <= 0 {
-		workers = DefaultParallelism()
-	}
-	if workers > runs {
-		workers = runs
-	}
-	clones := []sim.Adversary{adv}
-	if workers > 1 {
-		clones = make([]sim.Adversary, 1, workers)
-		clones[0] = adv
-		for w := 1; w < workers; w++ {
-			c, ok := sim.CloneAdversary(adv)
-			if !ok {
-				// Fallback: a strategy we cannot copy must not be shared
-				// across goroutines, so serialize its runs.
-				workers = 1
-				clones = clones[:1]
-				break
-			}
-			clones = append(clones, c)
-		}
-	}
-	batch := o.batchSize
-	if batch <= 0 {
-		batch = defaultBatchSize
-	}
-	if batch > runs {
-		batch = runs
-	}
-
-	b := &batcher{seeder: rng.New(seed), sampler: sampler, samplerInto: o.samplerInto, runs: runs}
-	tallies := make([]runTally, workers)
-	workerMetrics := make([]sim.Metrics, workers)
-	errLists := make([][]runError, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, worker sim.Adversary) {
-			defer wg.Done()
-			arena := sim.NewArena(proto)
-			buf := make([]preparedRun, 0, batch)
-			obs := make([]sim.Observer, 0, 2)
-			for {
-				base, jobs := b.fill(buf)
-				if len(jobs) == 0 {
-					return
-				}
-				for j := range jobs {
-					i := base + j
-					obs = append(obs[:0], &workerMetrics[w])
-					if o.factory != nil {
-						if ob := o.factory(i); ob != nil {
-							obs = append(obs, ob)
-						}
-					}
-					tr, err := arena.Run(jobs[j].inputs, worker, jobs[j].seed, obs...)
-					if err == nil {
-						err = tallies[w].add(Classify(tr))
-					}
-					if err != nil {
-						errLists[w] = append(errLists[w], runError{run: i, err: err})
-					}
-				}
-			}
-		}(w, clones[w])
-	}
-	wg.Wait()
-
-	// Deterministic error reporting: the lowest-index failure, phrased
-	// exactly as the classic sequential loop phrased it.
-	first := runError{run: runs}
-	for _, list := range errLists {
-		for _, re := range list {
-			if re.run < first.run {
-				first = re
-			}
-		}
-	}
-	if first.err != nil {
-		return UtilityReport{}, fmt.Errorf("core: run %d: %w", first.run, first.err)
-	}
-
-	var total runTally
-	var merged sim.Metrics
-	for w := range tallies {
-		total.merge(tallies[w])
-		merged.Add(workerMetrics[w])
-	}
-	rep, err := total.report(gamma, runs, o.cv)
-	if err != nil {
-		return UtilityReport{}, err
-	}
-	rep.Metrics = merged
-	if o.metrics != nil {
-		o.metrics.Add(merged)
-	}
-	return rep, nil
+	rep := EstimateJobs(proto, []Job{{Adv: adv, Runs: runs, Seed: seed}}, gamma, sampler, opts...)[0]
+	return rep.UtilityReport, rep.Err
 }
 
 // SupUtility approximates sup_A u_A(Π, A) over an eager strategy slice.
@@ -365,10 +510,9 @@ func SupUtility(proto sim.Protocol, advs []NamedAdversary, gamma Payoff,
 // Each strategy keeps the canonical per-strategy seed (seed + i*7919),
 // so every per-strategy report — and the best-strategy selection, which
 // breaks utility ties in space order — is independent of parallelism.
-// Each worker estimates a clone when the strategy is cloneable and
-// otherwise owns the instance exclusively while its estimate runs. With
-// a single strategy (or a non-parallel space) and parallelism > 1, the
-// parallelism is spent inside each strategy's run loop instead.
+// It is EstimateJobs' all-strategies case: the strategies run side by
+// side on the workers, and a space narrower than the worker count
+// splits its strategies' runs across the spare workers.
 func SupUtilitySpace(proto sim.Protocol, space StrategySpace, gamma Payoff,
 	sampler InputSampler, runs int, seed int64, opts ...Option) (SupReport, error) {
 	o := resolveOptions(opts)
@@ -379,75 +523,21 @@ func SupUtilitySpace(proto sim.Protocol, space StrategySpace, gamma Payoff,
 	// every index anyway, and a single At call per index preserves the
 	// instance-exclusivity contract for lazily constructed strategies.
 	advs := make([]NamedAdversary, space.Len())
+	jobs := make([]Job, len(advs))
 	for i := range advs {
 		advs[i] = space.At(i)
-	}
-	perStrategy := func(name string) ObserverFactory {
-		if o.supFactory != nil {
-			f := o.supFactory
-			return func(run int) sim.Observer { return f(name, run) }
+		jobs[i] = Job{Adv: advs[i].Adv, Runs: runs, Seed: seed + int64(i)*7919}
+		if f := o.supFactory; f != nil {
+			name := advs[i].Name
+			jobs[i].Observe = func(run int) sim.Observer { return f(name, run) }
 		}
-		return o.factory
 	}
-	workers := o.parallelism
-	if workers <= 0 {
-		workers = DefaultParallelism()
-	}
-	if workers > len(advs) {
-		workers = len(advs)
-	}
-	// When the strategy space is narrower than the requested parallelism,
-	// push the surplus into the per-strategy run loop.
-	inner := 1
-	if workers == 1 && o.parallelism != 1 {
-		inner = o.parallelism
-	}
-	reports := make([]UtilityReport, len(advs))
-	errs := make([]error, len(advs))
-	estimate := func(i int, adv sim.Adversary, par int) {
-		eopts := make([]Option, 0, 4)
-		eopts = append(eopts, WithParallelism(par))
-		if o.batchSize > 0 {
-			eopts = append(eopts, withBatchSize(o.batchSize))
-		}
-		if f := perStrategy(advs[i].Name); f != nil {
-			eopts = append(eopts, WithObserver(f))
-		}
-		if o.samplerInto != nil {
-			eopts = append(eopts, WithSamplerInto(o.samplerInto))
-		}
-		reports[i], errs[i] = EstimateUtility(proto, adv, gamma, sampler,
-			runs, seed+int64(i)*7919, eopts...)
-	}
-	if workers <= 1 {
-		for i, na := range advs {
-			estimate(i, na.Adv, inner)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(advs) {
-						return
-					}
-					adv := advs[i].Adv
-					if c, ok := sim.CloneAdversary(adv); ok {
-						adv = c
-					}
-					estimate(i, adv, 1)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, err := range errs {
-		if err != nil {
-			return SupReport{}, fmt.Errorf("core: strategy %q: %w", advs[i].Name, err)
+	metrics := o.metrics
+	o.metrics = nil // added below, once the whole sup has succeeded
+	reports := estimateJobs(proto, jobs, gamma, sampler, o)
+	for i, r := range reports {
+		if r.Err != nil {
+			return SupReport{}, fmt.Errorf("core: strategy %q: %w", advs[i].Name, r.Err)
 		}
 	}
 	rep := SupReport{All: make(map[string]UtilityReport, len(advs))}
@@ -458,7 +548,7 @@ func SupUtilitySpace(proto sim.Protocol, space StrategySpace, gamma Payoff,
 	// sup is undefined — report that instead of an empty Best.
 	bestIdx := -1
 	for i, na := range advs {
-		r := reports[i]
+		r := reports[i].UtilityReport
 		rep.All[na.Name] = r
 		rep.Metrics.Add(r.Metrics)
 		if math.IsNaN(r.Utility.Mean) {
@@ -472,9 +562,9 @@ func SupUtilitySpace(proto sim.Protocol, space StrategySpace, gamma Payoff,
 		return SupReport{}, errors.New("core: no strategy produced a comparable utility (all estimated means are NaN)")
 	}
 	rep.Best = advs[bestIdx].Name
-	rep.BestReport = reports[bestIdx]
-	if o.metrics != nil {
-		o.metrics.Add(rep.Metrics)
+	rep.BestReport = reports[bestIdx].UtilityReport
+	if metrics != nil {
+		metrics.Add(rep.Metrics)
 	}
 	return rep, nil
 }

@@ -2,7 +2,11 @@ package search_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -161,6 +165,75 @@ func TestResumeByteIdentity(t *testing.T) {
 	o.Checkpoint = full
 	if _, err := search.Run(f.proto, f.space, f.gamma, f.sampler, 12, o); err == nil {
 		t.Error("foreign checkpoint accepted")
+	}
+}
+
+// countdownCtx is a context whose Err turns context.Canceled once it
+// has answered nil `left` times, so a test can cancel a search at an
+// exact point of its schedule without sleeping. The search checks its
+// context from its own goroutine only.
+type countdownCtx struct {
+	context.Context
+	left, checks int
+}
+
+func (c *countdownCtx) Err() error {
+	c.checks++
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestSearchCancelMidRun cancels a checkpointed search after k context
+// checks, at parallelism 1 and 3: the search returns context.Canceled,
+// its checkpoint is a whole-record prefix of the uninterrupted run's,
+// and resuming it reproduces the uninterrupted bytes and report.
+func TestSearchCancelMidRun(t *testing.T) {
+	f := acceptanceFamilies(t)[0]
+	for _, par := range []int{1, 3} {
+		o := resumeOptions()
+		o.Parallelism = par
+		dir := t.TempDir()
+		o.Checkpoint = filepath.Join(dir, "full.jsonl")
+		count := &countdownCtx{Context: context.Background(), left: math.MaxInt}
+		want, err := search.RunContext(count, f.proto, f.space, f.gamma, f.sampler, 11, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, err := os.ReadFile(o.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := count.checks
+		for _, k := range []int{0, 1, n / 3, n / 2, n - 1} {
+			o.Checkpoint = filepath.Join(dir, fmt.Sprintf("cut%d.jsonl", k))
+			ctx := &countdownCtx{Context: context.Background(), left: k}
+			if _, err := search.RunContext(ctx, f.proto, f.space, f.gamma, f.sampler, 11, o); !errors.Is(err, context.Canceled) {
+				t.Fatalf("par %d, canceled after %d of %d checks: err %v, want context.Canceled", par, k, n, err)
+			}
+			cut, err := os.ReadFile(o.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(wantBytes, cut) || !bytes.HasSuffix(cut, []byte("\n")) || len(cut) == len(wantBytes) {
+				t.Fatalf("par %d, canceled after %d of %d checks: checkpoint is not a proper record prefix (%d of %d bytes)",
+					par, k, n, len(cut), len(wantBytes))
+			}
+			got, err := search.RunContext(context.Background(), f.proto, f.space, f.gamma, f.sampler, 11, o)
+			if err != nil {
+				t.Fatalf("par %d: resume after %d checks: %v", par, k, err)
+			}
+			gotBytes, err := os.ReadFile(o.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBytes, wantBytes) {
+				t.Errorf("par %d: resume after %d checks: checkpoint bytes differ from the uninterrupted run", par, k)
+			}
+			assertReportsEqual(t, want, got)
+		}
 	}
 }
 

@@ -28,10 +28,13 @@
 // Estimates are pure functions of (params, seed): per-arm seeds derive
 // from FNV-1a arm keys exactly like the sweep's cell seeds, wave w of
 // an arm runs at armSeed + w·7919, and the final estimate runs at the
-// arm seed itself. Parallelism is spent inside each arm's estimate
-// (scheduling only, per the estimator's determinism contract); the arm
-// schedule itself is sequential so the checkpoint stream stays in
-// canonical order.
+// arm seed itself. The estimates of one batch — an admission group of
+// equal-bound arms (cut at MaxArms), a racing wave's active arms, the
+// certification — run side by side in one core.EstimateJobs call, one
+// arm per worker while arms remain and split across workers after.
+// Decisions and records then follow in canonical order, so parallelism
+// is scheduling only: the report and the checkpoint stream are the same
+// at every worker count.
 package search
 
 import (
@@ -74,8 +77,8 @@ type Options struct {
 	// acceptance tests measure savings against.
 	Exhaustive bool
 
-	// Parallelism is the worker count inside each arm estimate (<= 0
-	// selects the estimator default).
+	// Parallelism is the worker count each batch of estimates shares
+	// (<= 0 selects the estimator default).
 	Parallelism int
 	// Checkpoint, when non-empty, streams the record sequence to this
 	// JSONL file. If the file already exists it is resumed: completed
@@ -382,36 +385,55 @@ func (e *engine) interval(a *arm) error {
 	return nil
 }
 
-// estimate runs `runs` fresh simulations of the arm at the given seed
-// and returns the outcome counts.
-func (e *engine) estimate(a *arm, runs int, seed int64) ([4]int64, core.UtilityReport, error) {
-	rep, err := core.EstimateUtility(e.proto, a.adv, e.gamma, e.sampler, runs, seed,
-		core.WithParallelism(e.o.Parallelism), core.WithMetrics(&e.metrics))
-	if err != nil {
-		return [4]int64{}, core.UtilityReport{}, fmt.Errorf("search: arm %q: %w", a.name, err)
-	}
-	var counts [4]int64
-	for i, ev := range core.Events() {
-		// EventFreq is count/runs exactly; the rounding recovers the
-		// integer count exactly for runs ≤ 2^52.
-		counts[i] = int64(math.Round(rep.EventFreq[ev] * float64(runs)))
-	}
-	return counts, rep, nil
+// step is one upcoming estimate — one record of the stream — and,
+// once its batch has been simulated, its result.
+type step struct {
+	a    *arm
+	runs int
+	seed int64
+	rep  *core.JobReport
 }
 
-// wave runs (or replays) one wave of an arm: addRuns fresh runs at the
-// wave seed, folded into the arm's cumulative counts.
-func (e *engine) waveStep(ctx context.Context, a *arm, w, addRuns int) error {
+// estimate returns the estimate of steps[i]. The steps of one batch
+// (an admission group, a racing wave, the certification) are their
+// records in stream order; the first one past the checkpoint's replay
+// prefix simulates it and every later step of the batch side by side
+// in one core.EstimateJobs call. A step the schedule then prunes leaves
+// its estimate unused: its runs, metrics and record never count.
+func (e *engine) estimate(steps []step, i int) (*core.JobReport, error) {
+	if steps[i].rep == nil {
+		rest := steps[i:]
+		jobs := make([]core.Job, len(rest))
+		for k, st := range rest {
+			jobs[k] = core.Job{Adv: st.a.adv, Runs: st.runs, Seed: st.seed}
+		}
+		reps := core.EstimateJobs(e.proto, jobs, e.gamma, e.sampler, core.WithParallelism(e.o.Parallelism))
+		for k := range rest {
+			rest[k].rep = &reps[k]
+		}
+	}
+	rep := steps[i].rep
+	if rep.Err != nil {
+		return nil, fmt.Errorf("search: arm %q: %w", steps[i].a.name, rep.Err)
+	}
+	e.metrics.Add(rep.Metrics)
+	return rep, nil
+}
+
+// waveStep runs (or replays) steps[i], one wave of its arm: fresh runs
+// at the wave seed, folded into the arm's cumulative counts.
+func (e *engine) waveStep(ctx context.Context, steps []step, i, w int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	a, addRuns := steps[i].a, steps[i].runs
 	rec, replayed, err := e.em.step("wave", a.name, w, func() (Record, error) {
-		counts, _, err := e.estimate(a, addRuns, a.seed+int64(w)*7919)
+		rep, err := e.estimate(steps, i)
 		if err != nil {
 			return Record{}, err
 		}
-		for i, c := range counts {
-			a.counts[i] += c
+		for k, c := range rep.Events {
+			a.counts[k] += c
 		}
 		a.runs += int64(addRuns)
 		if err := e.interval(a); err != nil {
@@ -419,7 +441,7 @@ func (e *engine) waveStep(ctx context.Context, a *arm, w, addRuns int) error {
 		}
 		return Record{
 			Kind: "wave", Arm: a.name, Key: a.key, Wave: w, Runs: addRuns,
-			Events: counts, Mean: a.mean, Lo: a.lo, Hi: a.hi,
+			Events: rep.Events, Mean: a.mean, Lo: a.lo, Hi: a.hi,
 		}, nil
 	})
 	if err != nil {
@@ -429,8 +451,8 @@ func (e *engine) waveStep(ctx context.Context, a *arm, w, addRuns int) error {
 		if rec.Runs != addRuns {
 			return fmt.Errorf("search: checkpoint wave %d of %q has %d runs, schedule expects %d", w, a.name, rec.Runs, addRuns)
 		}
-		for i, c := range rec.Events {
-			a.counts[i] += c
+		for k, c := range rec.Events {
+			a.counts[k] += c
 		}
 		a.runs += int64(rec.Runs)
 		if err := e.interval(a); err != nil {
@@ -467,32 +489,57 @@ func (e *engine) runRacing(ctx context.Context) (*Report, error) {
 	admitted := 0
 	incumbentLo := math.Inf(-1)
 	incumbentBy := ""
-	for _, a := range order {
-		capped := o.MaxArms > 0 && admitted >= o.MaxArms
-		if a.bound < incumbentLo || capped {
-			by := incumbentBy
-			if capped {
-				by = "arms-cap"
+	for g := 0; g < len(order); {
+		// One group of equal-bound arms at a time. The arms it admits
+		// are a prefix of it — the incumbent only rises, and an
+		// admitted arm's interval never tops the group's bound when its
+		// samples respect that bound — so that prefix, cut at MaxArms,
+		// is estimated side by side before the decisions replay in
+		// bound order.
+		end := g + 1
+		for end < len(order) && order[end].bound == order[g].bound {
+			end++
+		}
+		group := order[g:end]
+		g = end
+		cut := len(group)
+		if group[0].bound < incumbentLo {
+			cut = 0
+		}
+		if o.MaxArms > 0 {
+			cut = max(0, min(cut, o.MaxArms-admitted))
+		}
+		steps := make([]step, cut)
+		for i, a := range group[:cut] {
+			steps[i] = step{a: a, runs: o.Wave, seed: a.seed + 7919}
+		}
+		for i, a := range group {
+			capped := o.MaxArms > 0 && admitted >= o.MaxArms
+			if a.bound < incumbentLo || capped {
+				by := incumbentBy
+				if capped {
+					by = "arms-cap"
+				}
+				rec, _, err := e.em.step("prune", a.name, 0, func() (Record, error) {
+					return Record{
+						Kind: "prune", Arm: a.name, Key: a.key,
+						Hi: a.bound, Bound: a.bound, By: by,
+					}, nil
+				})
+				if err != nil {
+					return nil, err
+				}
+				a.status, a.by, a.hi = StatusPruned, rec.By, a.bound
+				continue
 			}
-			rec, _, err := e.em.step("prune", a.name, 0, func() (Record, error) {
-				return Record{
-					Kind: "prune", Arm: a.name, Key: a.key,
-					Hi: a.bound, Bound: a.bound, By: by,
-				}, nil
-			})
-			if err != nil {
+			if err := e.waveStep(ctx, steps, i, 1); err != nil {
 				return nil, err
 			}
-			a.status, a.by, a.hi = StatusPruned, rec.By, a.bound
-			continue
-		}
-		if err := e.waveStep(ctx, a, 1, o.Wave); err != nil {
-			return nil, err
-		}
-		a.active = true
-		admitted++
-		if a.lo > incumbentLo {
-			incumbentLo, incumbentBy = a.lo, a.name
+			a.active = true
+			admitted++
+			if a.lo > incumbentLo {
+				incumbentLo, incumbentBy = a.lo, a.name
+			}
 		}
 	}
 	if admitted == 0 {
@@ -538,8 +585,9 @@ func (e *engine) runRacing(ctx context.Context) (*Report, error) {
 		if active <= 1 {
 			break
 		}
+		// The wave: every active arm below the racing cap, side by side.
 		per *= o.Growth
-		progressed := false
+		var steps []step
 		for _, a := range e.arms {
 			if !a.active {
 				continue
@@ -548,16 +596,17 @@ func (e *engine) runRacing(ctx context.Context) (*Report, error) {
 			if int64(add) > int64(o.RaceRuns)-a.runs {
 				add = int(int64(o.RaceRuns) - a.runs)
 			}
-			if add <= 0 {
-				continue
+			if add > 0 {
+				steps = append(steps, step{a: a, runs: add, seed: a.seed + int64(w)*7919})
 			}
-			if err := e.waveStep(ctx, a, w, add); err != nil {
+		}
+		if len(steps) == 0 {
+			break
+		}
+		for i := range steps {
+			if err := e.waveStep(ctx, steps, i, w); err != nil {
 				return nil, err
 			}
-			progressed = true
-		}
-		if !progressed {
-			break
 		}
 		waves = w
 	}
@@ -573,7 +622,7 @@ func (e *engine) runRacing(ctx context.Context) (*Report, error) {
 			a.status = StatusSurvivor
 		}
 	}
-	best, err := e.finalStep(ctx, winner)
+	best, err := e.finalStep(ctx, []step{{a: winner, runs: e.o.FinalRuns, seed: winner.seed}}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -581,21 +630,23 @@ func (e *engine) runRacing(ctx context.Context) (*Report, error) {
 	return &Report{Best: winner.name, BestReport: best, Waves: waves}, nil
 }
 
-// finalStep runs (or replays) an arm's certification estimate.
-func (e *engine) finalStep(ctx context.Context, a *arm) (core.UtilityReport, error) {
+// finalStep runs (or replays) steps[i], a certification estimate of
+// its arm at FinalRuns on the arm seed.
+func (e *engine) finalStep(ctx context.Context, steps []step, i int) (core.UtilityReport, error) {
 	if err := ctx.Err(); err != nil {
 		return core.UtilityReport{}, err
 	}
+	a := steps[i].a
 	var fresh *core.UtilityReport
 	rec, replayed, err := e.em.step("final", a.name, 0, func() (Record, error) {
-		counts, rep, err := e.estimate(a, e.o.FinalRuns, a.seed)
+		rep, err := e.estimate(steps, i)
 		if err != nil {
 			return Record{}, err
 		}
-		fresh = &rep
+		fresh = &rep.UtilityReport
 		return Record{
 			Kind: "final", Arm: a.name, Key: a.key, Runs: e.o.FinalRuns,
-			Events: counts, Mean: rep.Utility.Mean,
+			Events: rep.Events, Mean: rep.Utility.Mean,
 			Lo: rep.Utility.Lo(), Hi: rep.Utility.Hi(),
 		}, nil
 	})
@@ -642,8 +693,12 @@ func (e *engine) reportFromCounts(counts [4]int64, runs int) (core.UtilityReport
 func (e *engine) runExhaustive(ctx context.Context) (*Report, error) {
 	var best *arm
 	var bestRep core.UtilityReport
-	for _, a := range e.arms {
-		rep, err := e.finalStep(ctx, a)
+	steps := make([]step, len(e.arms))
+	for i, a := range e.arms {
+		steps[i] = step{a: a, runs: e.o.FinalRuns, seed: a.seed}
+	}
+	for i, a := range e.arms {
+		rep, err := e.finalStep(ctx, steps, i)
 		if err != nil {
 			return nil, err
 		}

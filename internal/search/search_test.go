@@ -1,8 +1,12 @@
 package search_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/adversary"
@@ -171,24 +175,121 @@ func TestRecoversOptimal(t *testing.T) {
 	}
 }
 
+// understated reports a static bound of at most half the standard
+// payoff's γ10 for every arm. The bound is unsound for the aborting
+// arms, which earn more, so once one of them is admitted the rest of
+// its equal-bound admission group is pruned — after the group was
+// estimated side by side. Those estimates must leave no trace.
+type understated struct{ *adversary.RawTwoParty }
+
+func (u understated) Describe() string { return u.RawTwoParty.Describe() + "+understated" }
+
+func (u understated) UpperBound(i int, gamma core.Payoff) float64 {
+	return math.Min(u.RawTwoParty.UpperBound(i, gamma), gamma.G10/2)
+}
+
 // TestSearchDeterministicAcrossParallelism pins the scheduling-only
-// contract: parallelism never changes the report.
+// contract: parallelism changes neither the report, nor its engine
+// Metrics, nor the checkpoint bytes. Every simulated run is accounted
+// exactly once — in an arm's runs, in a record and in Metrics — so an
+// estimate the admission pass discards (a group cut by MaxArms, or one
+// pruned by an understated bound) cannot leak runs, metrics or a
+// record.
 func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	f := acceptanceFamilies(t)[0]
-	o := acceptanceOptions
-	o.FinalRuns = 1000
-	o.RaceRuns = 300
-	o.Parallelism = 1
-	r1, err := search.Run(f.proto, f.space, f.gamma, f.sampler, 7, o)
-	if err != nil {
-		t.Fatal(err)
+	raw := f.space.(*adversary.RawTwoParty)
+	cases := []struct {
+		name     string
+		space    core.StrategySpace
+		maxArms  int
+		prunedBy string // the group-cutting decision the case must reach
+	}{
+		{"raw", f.space, 0, ""},
+		{"arms-cap", f.space, 5, "arms-cap"},
+		{"understated", understated{raw}, 0, "incumbent"},
 	}
-	o.Parallelism = 4
-	r2, err := search.Run(f.proto, f.space, f.gamma, f.sampler, 7, o)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var first *search.Report
+			var firstBytes []byte
+			for _, par := range []int{1, 2, 3, 4} {
+				o := acceptanceOptions
+				o.FinalRuns = 1000
+				o.RaceRuns = 300
+				o.MaxArms = tc.maxArms
+				o.Parallelism = par
+				o.Checkpoint = filepath.Join(t.TempDir(), "cp.jsonl")
+				rep, err := search.Run(f.proto, tc.space, f.gamma, f.sampler, 7, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cp, err := os.ReadFile(o.Checkpoint)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAccounting(t, rep, cp)
+				if first == nil {
+					first, firstBytes = rep, cp
+					if tc.prunedBy != "" {
+						checkDiscards(t, rep, tc.prunedBy)
+					}
+					continue
+				}
+				assertReportsEqual(t, first, rep)
+				if rep.Metrics != first.Metrics || rep.TotalRuns != first.TotalRuns {
+					t.Errorf("parallelism %d: metrics %+v over %d runs, parallelism 1: %+v over %d",
+						par, rep.Metrics, rep.TotalRuns, first.Metrics, first.TotalRuns)
+				}
+				if !bytes.Equal(cp, firstBytes) {
+					t.Errorf("parallelism %d: checkpoint bytes differ from parallelism 1", par)
+				}
+			}
+		})
 	}
-	assertReportsEqual(t, r1, r2)
+}
+
+// checkAccounting: the engine's run count, the arms' runs, the
+// checkpoint records' runs and Metrics.Runs all count the same runs.
+func checkAccounting(t *testing.T, rep *search.Report, cp []byte) {
+	t.Helper()
+	var arms, records int64
+	for _, a := range rep.Arms {
+		arms += a.Runs
+	}
+	lines := bytes.Split(bytes.TrimSpace(cp), []byte("\n"))
+	for _, line := range lines[1:] {
+		var rec search.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		records += int64(rec.Runs)
+	}
+	if arms != rep.TotalRuns || records != rep.TotalRuns || rep.Metrics.Runs != rep.TotalRuns {
+		t.Errorf("runs: total %d, arms %d, records %d, metrics %d", rep.TotalRuns, arms, records, rep.Metrics.Runs)
+	}
+	if len(lines)-1 < len(rep.Arms) {
+		t.Errorf("%d records for %d arms", len(lines)-1, len(rep.Arms))
+	}
+}
+
+// checkDiscards makes sure a case reaches the admission decision it is
+// there for: an arm pruned by the cap ("arms-cap") or by the incumbent
+// ("incumbent") at a bound another arm was admitted at, so its group
+// was estimated before the decision pruned it.
+func checkDiscards(t *testing.T, rep *search.Report, by string) {
+	t.Helper()
+	admitted := map[float64]bool{}
+	for _, a := range rep.Arms {
+		if a.Status != search.StatusPruned {
+			admitted[a.Bound] = true
+		}
+	}
+	for _, a := range rep.Arms {
+		if a.Status == search.StatusPruned && admitted[a.Bound] && (a.By == "arms-cap") == (by == "arms-cap") {
+			return
+		}
+	}
+	t.Errorf("no arm pruned by %s beside an admitted arm of its bound", by)
 }
 
 // TestSearchBoundsPrune pins the branch-and-bound step: under the

@@ -13,25 +13,58 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/protocols/gordonkatz"
 	"repro/internal/protocols/twoparty"
 	"repro/internal/sim"
 )
 
 func TestArenaMatchesRun(t *testing.T) {
+	// Each case's arena cycles through one instance of each strategy,
+	// run by run; a parity case has one. The estimator keeps one arena
+	// per worker across every estimate it runs, so the last case
+	// alternates the raw two-party space's strategy kinds on one arena.
+	type arenaCase struct {
+		name   string
+		proto  func() (sim.Protocol, []sim.Value, error)
+		newAdv []func() sim.Adversary
+	}
+	var cases []arenaCase
 	for _, tc := range parityCases(t) {
+		cases = append(cases, arenaCase{tc.name, tc.proto, []func() sim.Adversary{tc.newAdv}})
+	}
+	cases = append(cases, arenaCase{
+		name: "gk-polydomain:2/alternating",
+		proto: func() (sim.Protocol, []sim.Value, error) {
+			p, err := gordonkatz.NewPolyDomain(gordonkatz.AND(), 2)
+			return p, []sim.Value{uint64(1), uint64(1)}, err
+		},
+		newAdv: []func() sim.Adversary{
+			func() sim.Adversary { return adversary.NewAbortAt(3, 1) },
+			func() sim.Adversary { return adversary.NewLockAbort(2) },
+			func() sim.Adversary {
+				return &adversary.InputSubst{Adversary: adversary.NewAbortAt(2, 2), Value: uint64(0)}
+			},
+			func() sim.Adversary { return gordonkatz.NewFirstHit(1) },
+		},
+	})
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			proto, inputs, err := tc.proto()
 			if err != nil {
 				t.Fatal(err)
 			}
 			arena := sim.NewArena(proto)
-			// One adversary instance across every arena run — exactly how
-			// the estimator drives it (Reset per run); the reference run
-			// gets a fresh instance each time.
-			adv := tc.newAdv()
+			// One adversary instance per strategy across every arena run —
+			// exactly how the estimator drives it (Reset per run); the
+			// reference run gets a fresh instance each time.
+			advs := make([]sim.Adversary, len(tc.newAdv))
+			for i, mk := range tc.newAdv {
+				advs[i] = mk()
+			}
 			for seed := int64(0); seed < 12; seed++ {
-				got, gotErr := arena.Run(inputs, adv, seed)
-				want, wantErr := sim.Run(proto, inputs, tc.newAdv(), seed)
+				k := int(seed) % len(advs)
+				got, gotErr := arena.Run(inputs, advs[k], seed)
+				want, wantErr := sim.Run(proto, inputs, tc.newAdv[k](), seed)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d: run err %v, arena err %v", seed, wantErr, gotErr)
 				}
