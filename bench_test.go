@@ -215,6 +215,32 @@ func BenchmarkEstimate2SFEMill(b *testing.B) {
 		WithParallelism(1), WithSamplerInto(into))
 }
 
+// BenchmarkEstimateGordonKatz is the Gordon–Katz per-run cost on the
+// registry's gk-polyrange:2 (AND at x = (1, 1), 8 value pairs): under
+// lock-abort most runs end after reading the first pair (1.4 on
+// average), so ShareGen deals only those; under static (honest
+// corruption) a run reads all 8.
+func BenchmarkEstimateGordonKatz(b *testing.B) {
+	proto, err := NewPolyRange(ANDFunction(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	into := func(_ *rand.Rand, dst []Value) []Value {
+		return append(dst, uint64(1), uint64(1))
+	}
+	for _, tc := range []struct {
+		name string
+		adv  Adversary
+	}{
+		{"lock-abort", NewLockAbort(1)},
+		{"static", NewStatic(1)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			benchEstimate(b, proto, tc.adv, nil, WithParallelism(1), WithSamplerInto(into))
+		})
+	}
+}
+
 func BenchmarkEstimateNSFE(b *testing.B) {
 	fn, err := Concat(4, 8)
 	if err != nil {

@@ -475,8 +475,8 @@ func estimateJobs(proto sim.Protocol, jobs []Job, gamma Payoff, sampler InputSam
 // observers change how the runs are scheduled, never what they compute.
 // It is EstimateJobs' one-job case: workers lease batches of (inputs,
 // seed) jobs drawn in the canonical master-stream order, replay them on
-// per-worker sim.Arenas (reused execution state and self-sizing RNG
-// slabs, no per-run engine allocation), and keep integer outcome
+// per-worker sim.Arenas (reused execution state and on-demand RNG
+// streams, no per-run engine allocation), and keep integer outcome
 // tallies that merge order-independently into the report.
 //
 // WithControlVariate is the deliberate exception to that purity: it

@@ -93,10 +93,17 @@ type noClone struct{ *grabber }
 
 func (noClone) CloneAdversary() sim.Adversary { return nil }
 
+// inheritsClone embeds a cloneable strategy without cloning itself: its
+// promoted CloneAdversary returns a *grabber.
+type inheritsClone struct{ *grabber }
+
 func TestParallelNonCloneableFallsBackToSequential(t *testing.T) {
 	adv := noClone{&grabber{}}
 	if _, ok := sim.CloneAdversary(adv); ok {
 		t.Fatal("fixture should not be cloneable")
+	}
+	if _, ok := sim.CloneAdversary(inheritsClone{&grabber{}}); ok {
+		t.Fatal("a clone of another concrete type counted as a clone")
 	}
 	seq, err := EstimateUtility(flipProtocol{}, noClone{&grabber{}}, StandardPayoff(), uniformInputs, 40, 5)
 	if err != nil {

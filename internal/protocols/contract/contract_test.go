@@ -165,6 +165,10 @@ type coinCheater struct {
 	adversary.Static
 }
 
+// CloneAdversary implements sim.AdversaryCloner with a cheater: the
+// embedded Static's would clone to a passive *Static.
+func (c *coinCheater) CloneAdversary() sim.Adversary { return &coinCheater{} }
+
 func (c *coinCheater) Reset(ctx *sim.AdvContext) {
 	c.Static.Targets = []sim.PartyID{2}
 	c.Static.Reset(ctx)

@@ -105,10 +105,19 @@ func (p Protocol) DefaultInput(id sim.PartyID) sim.Value {
 
 // gkSetupOut is one party's ShareGen output: for each iteration, its
 // half of the sharing it will reconstruct (mine) and its half of the
-// sharing it must open toward the counterparty (theirs).
+// sharing it must open toward the counterparty (theirs). Machines read
+// it through at, which deals the iteration first if no one has.
 type gkSetupOut struct {
-	Mine   []share.AuthShare
-	Theirs []share.AuthShare
+	gen          *shareGen
+	mine, theirs []share.AuthShare
+}
+
+// at returns the party's halves of iteration iter's two sharings.
+func (s *gkSetupOut) at(iter int) (mine, theirs share.AuthShare, err error) {
+	if err := s.gen.deal(iter); err != nil {
+		return share.AuthShare{}, share.AuthShare{}, err
+	}
+	return s.mine[iter-1], s.theirs[iter-1], nil
 }
 
 // gkAudit is the hidden audit state: the switch round.
@@ -116,81 +125,97 @@ type gkAudit struct {
 	IStar int
 }
 
-// Setup implements sim.Protocol: the ShareGen functionality.
-func (p Protocol) Setup(inputs []sim.Value, rng *rand.Rand) ([]sim.Value, error) {
-	var out1, out2 gkSetupOut
-	istar, err := p.shareGen(inputs, rng, &out1, &out2)
-	if err != nil {
-		return nil, err
-	}
-	return []sim.Value{out1, out2, gkAudit{IStar: istar}}, nil
+// shareGen is one run of the ShareGen functionality. start checks the
+// field bound and draws the switch round i*; deal then deals the value
+// pairs in iteration order on the run's protocol stream. Setup deals
+// them all at once. The setup scratch deals pair i the first time a
+// machine, or a lookahead clone of one, reads iteration i, so a run
+// that ends early never draws the pairs it does not reach. Pair i is
+// the i-th pair dealt on the stream either way, so both yield the same
+// values.
+type shareGen struct {
+	p            Protocol
+	rng          *rand.Rand
+	x, y, real   uint64
+	istar, dealt int
+	err          error
+	out          [2]gkSetupOut
 }
 
-// shareGen is the shared body of Setup and the scratch evaluator: draw
-// the switch round i* and deal the r value pairs into out1 and out2,
-// reusing their share slices. It returns i*.
-func (p Protocol) shareGen(inputs []sim.Value, rng *rand.Rand, out1, out2 *gkSetupOut) (int, error) {
+// start begins a run of ShareGen on inputs, reusing the receiver's
+// share slices.
+func (g *shareGen) start(p Protocol, inputs []sim.Value, rng *rand.Rand) error {
 	x, _ := inputs[0].(uint64)
 	y, _ := inputs[1].(uint64)
 	real := p.Fn.Eval(x, y)
 	if real >= field.Modulus {
-		return 0, fmt.Errorf("gordonkatz: output %d exceeds field", real)
+		return fmt.Errorf("gordonkatz: output %d exceeds field", real)
 	}
-	istar := 1 + rng.Intn(p.Iterations)
-
-	out1.Mine, out1.Theirs = out1.Mine[:0], out1.Theirs[:0]
-	out2.Mine, out2.Theirs = out2.Mine[:0], out2.Theirs[:0]
-	for i := 1; i <= p.Iterations; i++ {
-		ai, bi := real, real
-		if i < istar {
-			ai, bi = p.fakePair(x, y, rng)
-		}
-		a1, a2, err := share.AuthDeal(rng, field.Element(ai))
-		if err != nil {
-			return 0, fmt.Errorf("gordonkatz: setup: %w", err)
-		}
-		b1, b2, err := share.AuthDeal(rng, field.Element(bi))
-		if err != nil {
-			return 0, fmt.Errorf("gordonkatz: setup: %w", err)
-		}
-		// p1 reconstructs the a-sequence and opens the b-sequence.
-		out1.Mine = append(out1.Mine, a1)
-		out1.Theirs = append(out1.Theirs, b1)
-		// p2 reconstructs the b-sequence and opens the a-sequence.
-		out2.Mine = append(out2.Mine, b2)
-		out2.Theirs = append(out2.Theirs, a2)
+	g.p, g.rng, g.x, g.y, g.real = p, rng, x, y, real
+	g.istar, g.dealt, g.err = 1+rng.Intn(p.Iterations), 0, nil
+	for k := range g.out {
+		o := &g.out[k]
+		o.gen, o.mine, o.theirs = g, o.mine[:0], o.theirs[:0]
 	}
-	return istar, nil
+	return nil
 }
 
-// NewSetupScratch implements sim.ScratchSetupProtocol: a ShareGen
-// evaluator whose output slice, setup cells and four share slices are
-// reused across runs. The cells are boxed as pointers once; the audit
-// stays a gkAudit value (AuditOutcome and trace comparisons read it by
-// value, and boxing it allocates nothing while i* < 256).
-func (p Protocol) NewSetupScratch() func([]sim.Value, *rand.Rand) ([]sim.Value, error) {
-	var cells [2]gkSetupOut
-	outs := []sim.Value{&cells[0], &cells[1], nil}
-	return func(inputs []sim.Value, rng *rand.Rand) ([]sim.Value, error) {
-		istar, err := p.shareGen(inputs, rng, &cells[0], &cells[1])
+// deal deals the pairs up to iteration iter that are not dealt yet.
+func (g *shareGen) deal(iter int) error {
+	for g.dealt < iter && g.err == nil {
+		ai, bi := g.real, g.real
+		if g.dealt+1 < g.istar {
+			ai, bi = g.p.fakePair(g.x, g.y, g.rng)
+		}
+		a1, a2, err := share.AuthDeal(g.rng, field.Element(ai))
 		if err != nil {
+			g.err = fmt.Errorf("gordonkatz: setup: %w", err)
+			break
+		}
+		b1, b2, err := share.AuthDeal(g.rng, field.Element(bi))
+		if err != nil {
+			g.err = fmt.Errorf("gordonkatz: setup: %w", err)
+			break
+		}
+		// p1 reconstructs the a-sequence and opens the b-sequence; p2
+		// reconstructs the b-sequence and opens the a-sequence.
+		p1, p2 := &g.out[0], &g.out[1]
+		p1.mine, p1.theirs = append(p1.mine, a1), append(p1.theirs, b1)
+		p2.mine, p2.theirs = append(p2.mine, b2), append(p2.theirs, a2)
+		g.dealt++
+	}
+	return g.err
+}
+
+// Setup implements sim.Protocol: the ShareGen functionality, dealing
+// every pair.
+func (p Protocol) Setup(inputs []sim.Value, rng *rand.Rand) ([]sim.Value, error) {
+	g := new(shareGen)
+	if err := g.start(p, inputs, rng); err != nil {
+		return nil, err
+	}
+	if err := g.deal(p.Iterations); err != nil {
+		return nil, err
+	}
+	return []sim.Value{&g.out[0], &g.out[1], gkAudit{IStar: g.istar}}, nil
+}
+
+// NewSetupScratch implements sim.ScratchSetupProtocol: a ShareGen run
+// that deals each pair when a machine first reads it (see shareGen) and
+// whose output slice, setup cells and share slices are reused across
+// runs. The audit stays a gkAudit value (AuditOutcome and trace
+// comparisons read it by value, and boxing it allocates nothing while
+// i* < 256).
+func (p Protocol) NewSetupScratch() func([]sim.Value, *rand.Rand) ([]sim.Value, error) {
+	g := new(shareGen)
+	outs := []sim.Value{&g.out[0], &g.out[1], nil}
+	return func(inputs []sim.Value, rng *rand.Rand) ([]sim.Value, error) {
+		if err := g.start(p, inputs, rng); err != nil {
 			return nil, err
 		}
-		outs[2] = gkAudit{IStar: istar}
+		outs[2] = gkAudit{IStar: g.istar}
 		return outs, nil
 	}
-}
-
-// asSetupOut unwraps a ShareGen output delivered either by value (plain
-// Setup) or as a pointer into scratch (NewSetupScratch).
-func asSetupOut(v sim.Value) (gkSetupOut, bool) {
-	switch s := v.(type) {
-	case gkSetupOut:
-		return s, true
-	case *gkSetupOut:
-		return *s, true
-	}
-	return gkSetupOut{}, false
 }
 
 // fakePair draws the pre-switch values per the protocol variant.
@@ -226,8 +251,8 @@ type gkParty struct {
 	input        uint64
 	setupAborted bool
 	// setup aliases the ShareGen output, which the engine keeps valid
-	// for the whole run; the machine only reads it.
-	setup gkSetupOut
+	// for the whole run; clones share it, and reading it deals.
+	setup *gkSetupOut
 	// offset shifts the engine round numbering (used by Π̃).
 	offset int
 	// replacement is the pre-drawn F_sfe^$ random-replacement value.
@@ -262,7 +287,7 @@ func (m *gkParty) init(p Protocol, id sim.PartyID, input sim.Value, out sim.Valu
 	}
 	*m = gkParty{proto: p, id: id, input: x, setupAborted: aborted, replacement: replacement}
 	if !aborted {
-		so, ok := asSetupOut(out)
+		so, ok := out.(*gkSetupOut)
 		if !ok {
 			return fmt.Errorf("gordonkatz: party %d: bad setup output %T", id, out)
 		}
@@ -276,9 +301,9 @@ func (m *gkParty) Reinit(id sim.PartyID, input sim.Value, out sim.Value, aborted
 	return m.init(m.proto, id, input, out, aborted, rng) == nil
 }
 
-// CopyFrom implements sim.PartyCopier. The share slices are shared, not
-// copied: no machine writes them, and the engine keeps them valid for
-// the run.
+// CopyFrom implements sim.PartyCopier. The setup output is shared, not
+// copied: no machine writes the shares, and the engine keeps them valid
+// for the run.
 func (m *gkParty) CopyFrom(src sim.Party) bool {
 	s, ok := src.(*gkParty)
 	if !ok {
@@ -324,37 +349,43 @@ func (m *gkParty) Round(round int, inbox []sim.Message) ([]sim.Message, error) {
 	if m.id == 2 && odd {
 		// p2: reconstruct b_{iter−1} (sent by p1 last round), then open
 		// a_iter toward p1.
-		if iter > 1 && !m.reconstruct(iter-1, inbox) {
-			m.abort()
-			return nil, nil
+		if iter > 1 {
+			if ok, err := m.reconstruct(iter-1, inbox); !ok {
+				m.abort()
+				return nil, err
+			}
 		}
 		if iter > m.proto.Iterations {
 			// Past the last iteration: the final reconstruct concluded.
 			m.done = true
 			return nil, nil
 		}
-		return m.openIter(iter), nil
+		return m.openIter(iter)
 	}
 	if m.id == 1 && !odd {
 		// p1: reconstruct a_iter (sent by p2 last round), then open
 		// b_iter toward p2.
-		if !m.reconstruct(iter, inbox) {
+		if ok, err := m.reconstruct(iter, inbox); !ok {
 			m.abort()
-			return nil, nil
+			return nil, err
 		}
 		if iter == m.proto.Iterations {
 			m.done = true
 		}
-		return m.openIter(iter), nil
+		return m.openIter(iter)
 	}
 	return nil, nil
 }
 
 // openIter prepares the opening of the counterparty's iter-th value.
-func (m *gkParty) openIter(iter int) []sim.Message {
-	m.open = gkOpen{Iter: iter, Open: m.setup.Theirs[iter-1].Open()}
+func (m *gkParty) openIter(iter int) ([]sim.Message, error) {
+	_, theirs, err := m.setup.at(iter)
+	if err != nil {
+		return nil, err
+	}
+	m.open = gkOpen{Iter: iter, Open: theirs.Open()}
 	m.msgs[0] = sim.Message{From: m.id, To: m.other(), Payload: &m.open}
-	return m.msgs[:]
+	return m.msgs[:], nil
 }
 
 // gkOpen is an iteration opening.
@@ -376,20 +407,27 @@ func asOpen(payload any) (gkOpen, bool) {
 	return gkOpen{}, false
 }
 
-func (m *gkParty) reconstruct(iter int, inbox []sim.Message) bool {
+// reconstruct reconstructs the party's iter-th value from the
+// counterparty's opening in inbox and reports whether it succeeded; the
+// error is a failed deal.
+func (m *gkParty) reconstruct(iter int, inbox []sim.Message) (bool, error) {
 	for _, msg := range inbox {
 		op, ok := asOpen(msg.Payload)
 		if !ok || msg.From != m.other() || op.Iter != iter {
 			continue
 		}
-		v, err := share.AuthReconstruct(m.setup.Mine[iter-1], op.Open)
+		mine, _, err := m.setup.at(iter)
 		if err != nil {
-			return false
+			return false, err
+		}
+		v, err := share.AuthReconstruct(mine, op.Open)
+		if err != nil {
+			return false, nil
 		}
 		m.lastIter, m.lastVal = iter, v.Uint64()
-		return true
+		return true, nil
 	}
-	return false
+	return false, nil
 }
 
 // abort finalizes the machine with its last reconstructed value.

@@ -3,6 +3,7 @@ package gordonkatz
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/adversary"
@@ -390,5 +391,94 @@ func TestZeroFakeHitFirstHitCertain(t *testing.T) {
 	}
 	if rep.Utility.Mean != exact {
 		t.Errorf("measured %v disagrees with exact h=0 value %v", rep.Utility.Mean, exact)
+	}
+}
+
+// countingSource counts the values drawn from a canonical stream.
+type countingSource struct {
+	rand.Source64
+	draws int
+}
+
+func (c *countingSource) Int63() int64   { c.draws++; return c.Source64.Int63() }
+func (c *countingSource) Uint64() uint64 { c.draws++; return c.Source64.Uint64() }
+
+// TestScratchDealsWhatRunsRead pins the saving of the setup scratch's
+// on-demand dealing as a count. It builds both gk-polyrange:2 machines
+// from the scratch's outputs on a counted protocol stream and plays them
+// in lockstep. With p1 silent from round 2, p2 reads only iteration 1,
+// so the run deals one of the 8 pairs and draws fewer protocol-stream
+// values than Setup; played honestly, it deals all 8 and draws exactly
+// what Setup draws. Either way the pairs dealt equal Setup's.
+func TestScratchDealsWhatRunsRead(t *testing.T) {
+	proto, err := NewPolyRange(AND(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []sim.Value{uint64(1), uint64(1)}
+	const seed = 5
+	eager := &countingSource{Source64: rand.NewSource(seed).(rand.Source64)}
+	eagerOuts, err := proto.Setup(inputs, rand.New(eager))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		silentFrom int // p1 sends nothing from this round on; 0 = never
+		pairs      int
+	}{
+		{"p1-silent-from-r2", 2, 1},
+		{"honest", 0, proto.Iterations},
+	} {
+		src := &countingSource{Source64: rand.NewSource(seed).(rand.Source64)}
+		outs, err := proto.NewSetupScratch()(inputs, rand.New(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms [2]sim.Party
+		for i := range ms {
+			id := sim.PartyID(i + 1)
+			if ms[i], err = proto.NewParty(id, inputs[i], outs[i], false, rand.New(rand.NewSource(seed+int64(id)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var in [2][]sim.Message
+		for r := 1; r <= proto.NumRounds()+1; r++ {
+			var next [2][]sim.Message
+			for i, m := range ms {
+				out, err := m.Round(r, in[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 && tc.silentFrom > 0 && r >= tc.silentFrom {
+					continue
+				}
+				for _, msg := range out {
+					msg.From = sim.PartyID(i + 1)
+					next[msg.To-1] = append(next[msg.To-1], msg)
+				}
+			}
+			in = next
+		}
+		gen := outs[0].(*gkSetupOut).gen
+		if gen.dealt != tc.pairs {
+			t.Errorf("%s: dealt %d pairs, want %d", tc.name, gen.dealt, tc.pairs)
+		}
+		if tc.pairs < proto.Iterations && src.draws >= eager.draws {
+			t.Errorf("%s: drew %d protocol-stream values, Setup draws %d", tc.name, src.draws, eager.draws)
+		}
+		if tc.pairs == proto.Iterations && src.draws != eager.draws {
+			t.Errorf("%s: drew %d protocol-stream values, Setup draws %d", tc.name, src.draws, eager.draws)
+		}
+		for k := range gen.out {
+			full := eagerOuts[k].(*gkSetupOut)
+			lazy := &gen.out[k]
+			if !reflect.DeepEqual(lazy.mine, full.mine[:gen.dealt]) || !reflect.DeepEqual(lazy.theirs, full.theirs[:gen.dealt]) {
+				t.Errorf("%s: party %d's dealt shares differ from Setup's", tc.name, k+1)
+			}
+		}
+		if v, ok := ms[1].Output(); !ok || (tc.silentFrom == 0 && v != uint64(1)) {
+			t.Errorf("%s: p2 output %v/%v", tc.name, v, ok)
+		}
 	}
 }

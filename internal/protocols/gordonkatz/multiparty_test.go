@@ -2,6 +2,7 @@ package gordonkatz
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/adversary"
@@ -159,10 +160,20 @@ func TestMultiPartyTamperedShareBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := &mpTamperer{}
-	rep, err := core.EstimateUtility(proto, adv, core.GordonKatzPayoff(), mpWorst(3), 300, 12)
+	rep, err := core.EstimateUtility(proto, &mpTamperer{}, core.GordonKatzPayoff(), mpWorst(3), 300, 12,
+		core.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every worker plays the tamperer, so the report does not depend on
+	// the worker count.
+	rep2, err := core.EstimateUtility(proto, &mpTamperer{}, core.GordonKatzPayoff(), mpWorst(3), 300, 12,
+		core.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, rep2) {
+		t.Fatalf("report at parallelism 2 differs from parallelism 1:\np1: %+v\np2: %+v", rep, rep2)
 	}
 	if rep.EventFreq[core.E01] > 0.01 {
 		// Delivered-real would require honest reconstruction to succeed
@@ -178,6 +189,10 @@ func TestMultiPartyTamperedShareBlocks(t *testing.T) {
 type mpTamperer struct {
 	adversary.Static
 }
+
+// CloneAdversary implements sim.AdversaryCloner with a tamperer: the
+// embedded Static's would clone to a passive *Static.
+func (a *mpTamperer) CloneAdversary() sim.Adversary { return &mpTamperer{} }
 
 func (a *mpTamperer) Reset(ctx *sim.AdvContext) {
 	a.Static.Targets = []sim.PartyID{1}

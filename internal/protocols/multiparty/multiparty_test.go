@@ -374,6 +374,10 @@ type forger struct {
 	adversary.Static
 }
 
+// CloneAdversary implements sim.AdversaryCloner with a forger: the
+// embedded Static's would clone to a passive *Static.
+func (f *forger) CloneAdversary() sim.Adversary { return &forger{} }
+
 func (f *forger) Reset(ctx *sim.AdvContext) {
 	f.Static.Targets = []sim.PartyID{1}
 	f.Static.Reset(ctx)

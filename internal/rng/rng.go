@@ -14,6 +14,11 @@
 // multiply-mod, runs three independent step chains to break the serial
 // dependency, and reseeds in place so an arena can reuse one source for
 // millions of runs without allocating.
+//
+// SlabSource, the stream every simulated run draws from, goes further:
+// its Seed builds no state at all, and each of the first 273 outputs is
+// computed from the seed when it is drawn (see slab.go), so a run pays
+// only for the values it reads.
 package rng
 
 import "math/rand"

@@ -7,87 +7,103 @@ import (
 
 var slabSeeds = []int64{0, 1, -1, 42, -9, 89482311, 1 << 40, -(1 << 40), 7919}
 
-// TestPrefixMatchesSource pins the prefix shortcut against the full
-// construction: the first k outputs must be bit-identical for every k
-// up to MaxPrefix.
+// TestPrefixMatchesSource pins the on-demand prefix against the full
+// construction: each of the first 273 outputs of a freshly seeded
+// SlabSource, computed from two initial state words, is bit-identical
+// to NewSource's, and serving them builds no full state.
 func TestPrefixMatchesSource(t *testing.T) {
 	for _, seed := range slabSeeds {
-		src := NewSource(seed)
-		want := make([]uint64, MaxPrefix)
-		for i := range want {
-			want[i] = src.Uint64()
-		}
-		for _, k := range []int{1, 2, 3, 7, 16, 64, MaxPrefix - 1, MaxPrefix} {
-			dst := make([]uint64, k)
-			Prefix(seed, dst)
-			for i := range dst {
-				if dst[i] != want[i] {
-					t.Fatalf("seed %d k %d: Prefix[%d] = %d, Source gives %d", seed, k, i, dst[i], want[i])
-				}
+		ref := NewSource(seed)
+		s := new(SlabSource)
+		s.Seed(seed)
+		for i := 0; i < rngTap; i++ {
+			if got, exp := s.Uint64(), ref.Uint64(); got != exp {
+				t.Fatalf("seed %d: prefix output %d = %d, source gives %d", seed, i, got, exp)
 			}
+		}
+		if s.live {
+			t.Fatalf("seed %d: full state built within the %d-value prefix", seed, rngTap)
 		}
 	}
 }
 
-func TestPrefixTooLongPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Prefix(len > MaxPrefix) did not panic")
-		}
-	}()
-	Prefix(1, make([]uint64, MaxPrefix+1))
-}
-
-// TestSlabSourceExact drives a SlabSource past its pre-drawn prefix and
-// checks the emitted stream stays bit-identical to the canonical source,
-// for every want mode (lazy, slab, eager), and again after a reseed,
-// whose prefix the high-water mark of the first pass sizes.
-func TestSlabSourceExact(t *testing.T) {
-	const draws = 3 * MaxPrefix
-	for _, want := range []int{0, 1, 5, 64, MaxPrefix, MaxPrefix + 1, 10 * MaxPrefix} {
-		for _, seed := range slabSeeds {
-			s := new(SlabSource)
-			s.SetWant(want)
-			for pass := 0; pass < 2; pass++ {
-				ref := NewSource(seed)
-				s.Seed(seed)
-				for i := 0; i < draws; i++ {
-					if got, exp := s.Uint64(), ref.Uint64(); got != exp {
-						t.Fatalf("want %d seed %d pass %d draw %d: slab %d, source %d", want, seed, pass, i, got, exp)
-					}
-				}
-				if s.served != draws {
-					t.Fatalf("served = %d, want %d", s.served, draws)
-				}
-			}
-		}
-	}
-}
-
-// TestSlabSourceHighWater pins the sizing rule: each Seed pre-draws the
-// most any earlier run drew (or the SetWant value, if larger), so a run
-// that draws fewer values never shrinks the slab.
+// TestSlabSourceHighWater pins the one bit a source carries across
+// reseeds: Seed builds the full state up front exactly when the previous
+// run drew past the 273-value prefix, and a shorter run after that
+// returns the next Seed to the on-demand path.
 func TestSlabSourceHighWater(t *testing.T) {
 	s := new(SlabSource)
-	s.SetWant(2)
-	for _, tc := range []struct{ draw, slab int }{
-		{0, 2}, {5, 2}, {1, 5}, {9, 5}, {3, 9}, {0, 9},
+	for k, tc := range []struct {
+		draw int
+		live bool // full state seeded at this run's Seed
+	}{
+		{0, false}, {5, false}, {rngTap, false}, {rngTap + 1, false},
+		{3, true}, {0, false}, {3 * rngTap, false}, {0, true}, {0, false},
 	} {
 		s.Seed(11)
-		if len(s.slab) != tc.slab {
-			t.Fatalf("slab = %d, want %d", len(s.slab), tc.slab)
+		if s.live != tc.live {
+			t.Fatalf("run %d: full state seeded up front = %v, want %v", k, s.live, tc.live)
 		}
 		for i := 0; i < tc.draw; i++ {
 			s.Uint64()
 		}
 	}
-	// Past MaxPrefix the full state is built eagerly.
-	for i := 0; i <= MaxPrefix; i++ {
-		s.Uint64()
+}
+
+// TestSlabSourceExact drives a SlabSource past its on-demand prefix and
+// checks the emitted stream stays bit-identical to the canonical source,
+// on the first pass (which builds the full state mid-run) and again
+// after a reseed, which seeds the full state up front.
+func TestSlabSourceExact(t *testing.T) {
+	const draws = 3 * rngTap
+	for _, seed := range slabSeeds {
+		s := new(SlabSource)
+		for pass := 0; pass < 2; pass++ {
+			ref := NewSource(seed)
+			s.Seed(seed)
+			for i := 0; i < draws; i++ {
+				if got, exp := s.Uint64(), ref.Uint64(); got != exp {
+					t.Fatalf("seed %d pass %d draw %d: slab %d, source %d", seed, pass, i, got, exp)
+				}
+			}
+			if s.served != draws {
+				t.Fatalf("served = %d, want %d", s.served, draws)
+			}
+		}
 	}
-	s.Seed(11)
-	if !s.live || len(s.slab) != 0 {
-		t.Fatalf("after a %d-draw run: live %v, slab %d; want an eager full seed", MaxPrefix+1, s.live, len(s.slab))
+}
+
+// TestSlabSourceRunLengths replays sequences of runs on one source, each
+// run reseeding and drawing a given number of values, and checks every
+// output against a fresh NewSource and the one bit a source carries
+// across reseeds: a run seeds the full state up front exactly when the
+// previous run drew past the 273-value on-demand prefix.
+func TestSlabSourceRunLengths(t *testing.T) {
+	long := 3 * rngTap
+	for _, runs := range [][]int{
+		{0}, {1}, {4}, {272}, {273}, {274}, {long},
+		{long, 4, 4},           // short after long
+		{4, long, 274, 0, 273}, // long after short
+	} {
+		for _, seed := range slabSeeds {
+			s := new(SlabSource)
+			prev := 0
+			for k, draws := range runs {
+				runSeed := seed + int64(k)
+				s.Seed(runSeed)
+				if want := prev > rngTap; s.live != want {
+					t.Fatalf("runs %v seed %d run %d: full state seeded up front = %v after a %d-draw run, want %v",
+						runs, seed, k, s.live, prev, want)
+				}
+				ref := NewSource(runSeed)
+				for i := 0; i < draws; i++ {
+					if got, exp := s.Uint64(), ref.Uint64(); got != exp {
+						t.Fatalf("runs %v seed %d run %d draw %d: slab %d, source %d", runs, seed, k, i, got, exp)
+					}
+				}
+				prev = draws
+			}
+		}
 	}
 }
 
@@ -95,9 +111,7 @@ func TestSlabSourceHighWater(t *testing.T) {
 // including the Read path (rand.Rand carries read-buffer state that
 // Seed must reset) and the derived Intn/Float64 draws the engine uses.
 func TestSlabSourceUnderRand(t *testing.T) {
-	s := new(SlabSource)
-	s.SetWant(8)
-	r := rand.New(s)
+	r := rand.New(new(SlabSource))
 	for _, seed := range slabSeeds {
 		ref := rand.New(NewSource(seed))
 		r.Seed(seed)
@@ -129,18 +143,17 @@ func TestSlabSourceUnderRand(t *testing.T) {
 	}
 }
 
-// TestSlabSourceNoAllocSteadyState pins the per-reseed cost: once the
-// slab buffer exists, SetWant+Seed+draws must not allocate.
+// TestSlabSourceNoAllocSteadyState pins the per-reseed cost: Seed and
+// draws, on-demand or past the prefix, must not allocate.
 func TestSlabSourceNoAllocSteadyState(t *testing.T) {
 	s := new(SlabSource)
-	s.SetWant(32)
-	s.Seed(1) // warm the slab buffer
+	draws := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		s.SetWant(32)
 		s.Seed(7)
-		for i := 0; i < 32; i++ {
+		for i := 0; i < draws; i++ {
 			s.Uint64()
 		}
+		draws = (draws + 97) % 400
 	})
 	if allocs != 0 {
 		t.Fatalf("slab reseed+draw allocates %v times per run, want 0", allocs)
@@ -157,10 +170,7 @@ func BenchmarkSeedFull(b *testing.B) {
 
 func BenchmarkSeedSlab16(b *testing.B) {
 	s := new(SlabSource)
-	s.SetWant(16)
-	s.Seed(1)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Seed(int64(i))
 		for j := 0; j < 16; j++ {

@@ -2,12 +2,16 @@ package service
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/protocols/gordonkatz"
+	"repro/internal/sim"
 )
 
 func TestBuildProtocolAll(t *testing.T) {
@@ -50,6 +54,63 @@ func TestBuildAdversaryAll(t *testing.T) {
 		}
 		if adv == nil {
 			t.Errorf("BuildAdversary(%q): nil", name)
+		}
+	}
+}
+
+// TestRegistryStrategiesCloneToOwnType pins that every strategy the
+// registry builds — each adversary name and each arm of each strategy
+// space, wrapped sub-strategies included — clones to its own concrete
+// type. A clone of another type (one inherited from an embedded
+// strategy) would play a different strategy on every worker that joins
+// the estimate.
+func TestRegistryStrategiesCloneToOwnType(t *testing.T) {
+	var check func(label string, adv sim.Adversary)
+	check = func(label string, adv sim.Adversary) {
+		c, ok := adv.(sim.AdversaryCloner)
+		if !ok {
+			t.Errorf("%s: %T does not implement sim.AdversaryCloner", label, adv)
+			return
+		}
+		if clone := c.CloneAdversary(); reflect.TypeOf(clone) != reflect.TypeOf(adv) {
+			t.Errorf("%s: %T clones to %T", label, adv, clone)
+		}
+		switch a := adv.(type) {
+		case *adversary.InputSubst:
+			check(label+"/inner", a.Adversary)
+		case *adversary.Mixer:
+			for i, sub := range a.Strategies {
+				check(fmt.Sprintf("%s/sub%d", label, i), sub)
+			}
+		}
+	}
+	for _, name := range []string{
+		"passive", "agen", "allbut-mixer", "leak-extractor",
+		"static:1", "lock-abort:1+2", "setup-abort:2", "abort:3:1+2",
+	} {
+		adv, err := BuildAdversary(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, adv)
+	}
+	for _, proto := range []string{
+		"pi1", "pi2", "2sfe-opt", "2sfe-fixed2", "2sfe-oneround",
+		"gk-polydomain:2", "gk-polyrange:2", "gk-pitilde",
+		"nsfe-opt:3", "nsfe-gmw12:4", "nsfe-lemma18:4", "nsfe-hybrid:3",
+	} {
+		for _, name := range []string{SpaceRaw, SpaceClassic} {
+			space, err := BuildSpace(name, proto)
+			if err != nil {
+				if name == SpaceRaw && strings.HasPrefix(proto, "nsfe-") {
+					continue // the raw space is two-party only
+				}
+				t.Fatal(err)
+			}
+			for i := 0; i < space.Len(); i++ {
+				arm := space.At(i)
+				check(proto+"/"+name+"/"+arm.Name, arm.Adv)
+			}
 		}
 	}
 }

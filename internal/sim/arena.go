@@ -4,9 +4,9 @@ package sim
 // the run engine of the Monte-Carlo estimator and of Run. An Arena
 // resets the same Execution for every run — trace maps are cleared,
 // inbox lanes and scratch buffers truncated (keeping their capacity),
-// and the RNG streams reseeded in place, each pre-drawing only what
-// earlier runs drew from it (see Execution.reset and rng.SlabSource) —
-// so the steady-state cost of a run is the protocol's own work.
+// and the RNG streams reseeded in place, each computing only the values
+// the run draws (see Execution.reset and rng.SlabSource) — so the
+// steady-state cost of a run is the protocol's own work.
 //
 // Determinism: Arena.Run produces a trace reflect.DeepEqual-identical
 // to Run(proto, inputs, adv, seed) for every (inputs, adv, seed),

@@ -3,8 +3,8 @@ package sim_test
 // Arena-parity tests: a reused Arena must produce traces
 // reflect.DeepEqual-identical to one-shot sim.Run for every protocol ×
 // adversary pair the experiment harness exercises, regardless of what
-// ran on the arena before — including runs that drew more randomness
-// than the arena's RNG slabs had pre-drawn, and runs that failed. This
+// ran on the arena before — including runs that drew past the RNG
+// streams' on-demand prefix, and runs that failed. This
 // is the reuse half of the estimator's determinism contract (the
 // frozen-legacy half is parity_test.go).
 
@@ -79,13 +79,12 @@ func TestArenaMatchesRun(t *testing.T) {
 	}
 }
 
-// TestPlanRunnerMatchesArena pins the Arena's slab sizing against a cold
-// engine on every parity pair: one long-lived Arena, whose streams are
-// first sized by a probe run at a far seed and then by every run it
-// serves, must return the traces and observer Metrics of a fresh
-// sim.RunObserved at every seed, negative seeds included. The name is
-// kept from the compiled plan runner, whose pre-sized streams the
-// Arena's high-water sizing replaced.
+// TestPlanRunnerMatchesArena pins a warmed Arena against a cold engine
+// on every parity pair: one long-lived Arena, which first serves a run
+// at a far seed and then every run of the sweep, must return the traces
+// and observer Metrics of a fresh sim.RunObserved at every seed,
+// negative seeds included. The name is kept from the compiled plan
+// runner, whose pre-sized streams the Arena replaced.
 func TestPlanRunnerMatchesArena(t *testing.T) {
 	seeds := []int64{1 << 40}
 	for seed := int64(-3); seed < 12; seed++ {
@@ -121,11 +120,12 @@ func TestPlanRunnerMatchesArena(t *testing.T) {
 }
 
 // hungryAdv draws a run-dependent amount of adversary-stream randomness
-// per run, so the arena's adversary stream keeps drawing past the slab
-// that earlier runs sized: the mid-run fallback to a full seed, then an
-// eager full seed once a run has drawn past rng.MaxPrefix. It corrupts
-// party 1 and substitutes its input with the last value drawn, so the
-// trace shows the drawn values.
+// per run (0 to 582 values), so the arena's adversary stream crosses
+// the 273-value on-demand prefix mid-run (the fallback to a full seed),
+// starts from an eager full seed after a run that drew past it, and
+// returns to on-demand draws after one that did not. It corrupts party
+// 1 and substitutes its input with the last value drawn, so the trace
+// shows the drawn values.
 type hungryAdv struct {
 	sim.Passive
 	draws func(run int64) int
@@ -229,7 +229,7 @@ func TestArenaRunAllocs(t *testing.T) {
 			arena := sim.NewArena(twoparty.New(tc.fn))
 			adv := adversary.NewLockAbort(1)
 			inputs := []sim.Value{uint64(111), uint64(222)}
-			// Warm up past first-run growth (slab sizes, lane capacity).
+			// Warm up past first-run growth (lane and buffer capacity).
 			for seed := int64(0); seed < 8; seed++ {
 				if _, err := arena.Run(inputs, adv, seed); err != nil {
 					t.Fatal(err)

@@ -46,9 +46,12 @@ const (
 //
 // Every RNG stream (master, protocol, adversary and party) is an
 // rng.SlabSource: it emits exactly the stream of a freshly seeded
-// rng.Source, but a reseed pre-draws only as many values as earlier
-// runs on this execution drew from it, so a stream that is never drawn
-// costs nothing and the first run seeds each drawn stream in full.
+// rng.Source, but computes each of its first 273 values only when it
+// is drawn, so a stream that is never drawn costs nothing and one that
+// draws k ≤ 273 values costs O(k). The protocol stream belongs to the
+// setup between setup calls: a ScratchSetupProtocol may draw from it in
+// the rounds that read its outputs (Gordon–Katz deals each iteration's
+// sharings the first time a machine reads them).
 //
 // Every per-run allocation (trace maps, inbox lanes, RNG streams, the
 // adversary context, scratch buffers) lives on the Execution and is
@@ -113,11 +116,6 @@ type Execution struct {
 // no run; reset readies it for one.
 func newExecutionShell(proto Protocol) *Execution {
 	n := proto.NumParties()
-	// The master stream draws exactly n+2 values per run (the protocol
-	// seed, the adversary seed, then one per party), so its slab is sized
-	// once; the other streams size theirs from the runs they serve.
-	master := new(rng.SlabSource)
-	master.SetWant(n + 2)
 	e := &Execution{
 		proto:       proto,
 		protoName:   proto.Name(),
@@ -126,7 +124,7 @@ func newExecutionShell(proto Protocol) *Execution {
 		machines:    make([]Party, n),
 		partyRNGs:   make([]*rand.Rand, n),
 		partySeeds:  make([]int64, n),
-		master:      rand.New(master),
+		master:      rand.New(new(rng.SlabSource)),
 		protoRNG:    rand.New(new(rng.SlabSource)),
 		advRNG:      rand.New(new(rng.SlabSource)),
 	}

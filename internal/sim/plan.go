@@ -1,8 +1,8 @@
 package sim
 
 // Plan is an empty placeholder: every run executes on an Arena (or a
-// one-shot Execution), whose RNG streams size their pre-drawn slabs
-// from the runs they have served, so there is nothing to compile.
+// one-shot Execution), whose RNG streams compute each value when it is
+// drawn, so there is nothing to compile.
 //
 // Deprecated: Plan and CompilePlan remain only for the benchmark
 // harness's core.compile_plan_us probe (perfbench/probes.go), which

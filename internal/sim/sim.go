@@ -66,7 +66,9 @@ type Message struct {
 // Machines must draw all randomness during construction (in NewParty):
 // Round must be deterministic given the machine state and inbox, so that
 // Clone yields an independent machine (clones must not share live RNG
-// state with the original).
+// state with the original). Reading a setup output that a
+// ScratchSetupProtocol deals on demand is not a draw: its values are
+// fixed at setup, whichever machine or clone reads them first.
 type Party interface {
 	// Round consumes the messages delivered this round and returns the
 	// messages to send. Errors are protocol-implementation defects, not
@@ -173,16 +175,19 @@ type AdversaryCloner interface {
 }
 
 // CloneAdversary returns an independent copy of adv if the strategy
-// supports cloning, and reports whether it does. Callers that receive
-// ok=false must not share adv across goroutines and should fall back to
-// sequential execution.
+// supports cloning, and reports whether it does. A clone whose concrete
+// type differs from adv's counts as no clone: a strategy that embeds a
+// cloneable one (adversary.Static, say) inherits a CloneAdversary that
+// returns the embedded type, which would play a different strategy.
+// Callers that receive ok=false must not share adv across goroutines
+// and should fall back to sequential execution.
 func CloneAdversary(adv Adversary) (Adversary, bool) {
 	c, ok := adv.(AdversaryCloner)
 	if !ok {
 		return nil, false
 	}
 	clone := c.CloneAdversary()
-	if clone == nil {
+	if clone == nil || reflect.TypeOf(clone) != reflect.TypeOf(adv) {
 		return nil, false
 	}
 	return clone, true
@@ -218,8 +223,18 @@ type PartyCopier interface {
 // treats the returned slice and its values as valid only until the next
 // setup call on the same Execution (parties copy what they keep, and
 // adversaries may hold setup outputs only for the duration of the run).
-// It must be semantically identical to Setup: same outputs, same
-// randomness consumption, same errors.
+//
+// The engine's protocol stream, the rng the evaluator is called with,
+// belongs to the scratch until the next setup call: nothing else draws
+// from it. So the scratch may defer draws to the rounds that read them —
+// computing a part of a setup output the first time a machine, or a
+// lookahead clone of one, reads it — but it must yield exactly Setup's
+// values: every part of every output equal to what Setup returns on the
+// same inputs and stream, whichever parts a run reads and in whatever
+// order. It fails where Setup fails, except that a deferred draw that
+// fails surfaces as the error of the Round that needed it. A machine
+// reading such an output draws no randomness of its own; the values are
+// fixed at setup.
 type ScratchSetupProtocol interface {
 	NewSetupScratch() func(inputs []Value, rng *rand.Rand) ([]Value, error)
 }
