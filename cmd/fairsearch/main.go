@@ -82,9 +82,6 @@ func run(args []string) error {
 	if sf.Checkpoint != "" {
 		opts = append(opts, service.WithCheckpoint(sf.Checkpoint))
 	}
-	if est.Given("parallel") {
-		opts = append(opts, service.WithJobParallelism(est.Parallel))
-	}
 	pool := service.New(service.Config{Workers: 1, CacheSize: -1, Parallelism: est.Parallel})
 	defer pool.Close()
 	job, err := pool.Submit(service.SearchParams{

@@ -10,8 +10,13 @@
 //	fairsweep [-checkpoint F] [-families LIST] [-gammas LIST] [-n LIST]
 //	          [-t LIST] [-p LIST] [-costs LIST]
 //	          [-runs N | -target-hw W -delta D -max-runs N]
-//	          [-sup N] [-sup-search] [-slack S] [-control-variate]
-//	          [-seed S] [-parallel P] [-no-abort-sweep] [-quiet] [-v]
+//	          [-sup N] [-slack S] [-seed S] [-parallel P]
+//	          [-no-abort-sweep] [-quiet] [-v]
+//
+// -sup N adds one "sup-search" cell per (family, γ, n, t): the racing
+// search engine finds the best strategy of the standard space, at most
+// N runs per strategy, and the cell certifies a fresh N-run estimate of
+// the winner.
 //
 // With -checkpoint, every record is streamed to a JSONL file as it is
 // produced; re-running the same command against an existing checkpoint
@@ -100,8 +105,6 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	delta := fs.Float64("delta", 0, "sweep-wide false-breach probability budget")
 	maxRuns := fs.Int("max-runs", 0, "adaptive run-count ceiling")
 	slack := fs.Float64("slack", 0, "flat extra certification tolerance")
-	supSearch := fs.Bool("sup-search", false, "compute sup cells with the racing search engine (keyed \"sup-search\")")
-	vr := cliflags.RegisterVariance(fs)
 	noAbort := fs.Bool("no-abort-sweep", false, "disable the abort-at-round attacker dimension")
 	cp := fs.String("checkpoint", "", "JSONL checkpoint path (resumes if the file exists)")
 	q := fs.Bool("quiet", false, "suppress per-record progress")
@@ -155,9 +158,6 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	if est.Given("sup") {
 		spec.SupRuns = est.Sup
 	}
-	if *supSearch {
-		spec.SupSearch = true
-	}
 	if given["slack"] {
 		spec.Slack = *slack
 	}
@@ -169,9 +169,6 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	}
 	if *noAbort {
 		spec.AbortSweep = false
-	}
-	if vr.ControlVariates {
-		spec.ControlVariates = true
 	}
 	return spec, *cp, *q, *v, nil
 }

@@ -1,10 +1,10 @@
 // Package cliflags centralizes the flag surface shared by the fairness
 // commands (fairness, fairsim, fairsweep, fairsearch) and the fairnessd
 // daemon: Monte-Carlo effort (-runs, -sup), seeding (-seed), estimator
-// parallelism (-parallel), transcript capture (-trace), the search
-// block, and the control-variate flag. One registration helper means
-// one set of defaults and one explicit-zero semantics (the fs.Visit
-// idiom) instead of a copy per command.
+// parallelism (-parallel), transcript capture (-trace), and the search
+// block. One registration helper means one set of defaults and one
+// explicit-zero semantics (the fs.Visit idiom) instead of a copy per
+// command.
 package cliflags
 
 import "flag"
@@ -97,8 +97,7 @@ func (e *Estimation) Given(name string) bool {
 	return given
 }
 
-// Search is the parsed shared best-response-search flag block used by
-// fairsearch, fairsweep -sup-search, and fairnessd.
+// Search is the parsed best-response-search flag block of fairsearch.
 type Search struct {
 	// Arms is the racing beam width (-arms, 0 = no cap).
 	Arms int
@@ -109,7 +108,7 @@ type Search struct {
 	Checkpoint string
 }
 
-// RegisterSearch registers the shared search flag block on fs with the
+// RegisterSearch registers the search flag block on fs with the
 // canonical defaults (no beam cap, δ = 0.05, no checkpoint).
 func RegisterSearch(fs *flag.FlagSet) *Search {
 	s := &Search{}
@@ -120,23 +119,4 @@ func RegisterSearch(fs *flag.FlagSet) *Search {
 	fs.StringVar(&s.Checkpoint, "search-checkpoint", "",
 		"stream search records to this JSONL file, resuming if it exists")
 	return s
-}
-
-// Variance is the parsed variance-reduction flag block used by
-// fairsweep: the control-variate lever of DESIGN.md §10. It is off by
-// default; with it off every record is byte-identical to the frozen
-// matrices.
-type Variance struct {
-	// ControlVariates enables exact-residual estimation
-	// (-control-variate) on cells backed by an exact law (the
-	// Gordon–Katz first-hit cells).
-	ControlVariates bool
-}
-
-// RegisterVariance registers the variance-reduction flag block on fs.
-func RegisterVariance(fs *flag.FlagSet) *Variance {
-	v := &Variance{}
-	fs.BoolVar(&v.ControlVariates, "control-variate", false,
-		"estimate only the residual against exact laws where one exists (Gordon–Katz first-hit): changes record bytes")
-	return v
 }

@@ -14,11 +14,8 @@ import (
 
 // Option configures an estimation. The zero configuration — no options —
 // uses one worker per CPU and no observers; results are independent of
-// the worker count and the observers (see EstimateUtility), so those
-// options tune performance and instrumentation, never the estimate. The
-// one exception is the explicitly statistical WithControlVariate in
-// variance.go, which changes the estimator by design and is off by
-// default.
+// the worker count and the observers (see EstimateUtility), so options
+// tune performance and instrumentation, never the estimate.
 type Option func(*options)
 
 type options struct {
@@ -28,7 +25,6 @@ type options struct {
 	supFactory  SupObserverFactory
 	metrics     *sim.Metrics
 	samplerInto InputSamplerInto
-	cv          *ControlVariate
 }
 
 // WithParallelism sets the worker count: 1 forces a single worker,
@@ -193,26 +189,16 @@ func (t *runTally) merge(o runTally) {
 
 // report reduces the merged counts to a UtilityReport. Mean and every
 // frequency are bit-identical to the legacy per-sample tally for the
-// paper's dyadic payoff vectors (see stats.EstimateFromCounts). With a
-// control variate, the estimate runs over the residual payoffs
-// γ(E) − C(E) and the mean is re-centred by the control's exact
-// expectation; the half-width is the residual's. Event frequencies and
-// the auxiliary rates are unaffected either way.
-func (t *runTally) report(gamma Payoff, runs int, cv *ControlVariate) (UtilityReport, error) {
+// paper's dyadic payoff vectors (see stats.EstimateFromCounts).
+func (t *runTally) report(gamma Payoff, runs int) (UtilityReport, error) {
 	events := Events()
 	var values [4]float64
 	for i, e := range events {
 		values[i] = gamma.Of(e)
-		if cv != nil {
-			values[i] -= cv.EventValue[i]
-		}
 	}
 	est, err := stats.EstimateFromCounts(values[:], t.events[:])
 	if err != nil {
 		return UtilityReport{}, err
-	}
-	if cv != nil {
-		est.Mean += cv.Mean
 	}
 	freq := make(map[Event]float64, 4)
 	for i, e := range events {
@@ -453,7 +439,7 @@ func estimateJobs(proto sim.Protocol, jobs []Job, gamma Payoff, sampler InputSam
 			out[i].Err = fmt.Errorf("core: run %d: %w", m.failed.run, m.failed.err)
 			continue
 		}
-		rep, err := m.tally.report(gamma, j.Runs, o.cv)
+		rep, err := m.tally.report(gamma, j.Runs)
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -478,11 +464,6 @@ func estimateJobs(proto sim.Protocol, jobs []Job, gamma Payoff, sampler InputSam
 // per-worker sim.Arenas (reused execution state and on-demand RNG
 // streams, no per-run engine allocation), and keep integer outcome
 // tallies that merge order-independently into the report.
-//
-// WithControlVariate is the deliberate exception to that purity: it
-// changes the estimator itself (same expectation, smaller variance). It
-// is off by default; with it off the report stays byte-identical to the
-// frozen contract.
 func EstimateUtility(proto sim.Protocol, adv sim.Adversary, gamma Payoff,
 	sampler InputSampler, runs int, seed int64, opts ...Option) (UtilityReport, error) {
 	rep := EstimateJobs(proto, []Job{{Adv: adv, Runs: runs, Seed: seed}}, gamma, sampler, opts...)[0]

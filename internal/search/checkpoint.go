@@ -1,12 +1,9 @@
 package search
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
+
+	"repro/internal/jsonl"
 )
 
 // Record is one checkpoint line: a scheduling decision ("prune",
@@ -51,134 +48,6 @@ type header struct {
 
 const checkpointVersion = 1
 
-// marshalLine renders one checkpoint line. json.Marshal over the fixed
-// struct shapes is deterministic (field order is declaration order), so
-// equal records give equal bytes.
-func marshalLine(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// checkpoint streams records to a JSONL file, flushing after every line
-// so an interrupted search loses at most one torn trailing line.
-type checkpoint struct {
-	f *os.File
-	w *bufio.Writer
-}
-
-func createCheckpoint(path string, hd header) (*checkpoint, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("search: create checkpoint: %w", err)
-	}
-	cp := &checkpoint{f: f, w: bufio.NewWriter(f)}
-	line, err := marshalLine(hd)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := cp.w.Write(line); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("search: write checkpoint header: %w", err)
-	}
-	if err := cp.flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return cp, nil
-}
-
-func (cp *checkpoint) flush() error {
-	if err := cp.w.Flush(); err != nil {
-		return fmt.Errorf("search: flush checkpoint: %w", err)
-	}
-	if err := cp.f.Sync(); err != nil {
-		return fmt.Errorf("search: sync checkpoint: %w", err)
-	}
-	return nil
-}
-
-func (cp *checkpoint) append(rec Record) error {
-	line, err := marshalLine(rec)
-	if err != nil {
-		return fmt.Errorf("search: marshal record %s/%s: %w", rec.Kind, rec.Arm, err)
-	}
-	if _, err := cp.w.Write(line); err != nil {
-		return fmt.Errorf("search: write record %s/%s: %w", rec.Kind, rec.Arm, err)
-	}
-	return cp.flush()
-}
-
-func (cp *checkpoint) close() error {
-	if err := cp.flush(); err != nil {
-		cp.f.Close()
-		return err
-	}
-	return cp.f.Close()
-}
-
-// loadCheckpoint reads a (possibly interrupted) checkpoint and returns
-// the completed records in file order. It validates the header and
-// tolerates exactly one torn trailing line (an interrupt mid-write),
-// reported via truncateTo ≥ 0 — the byte offset the file must be
-// truncated to before appending. Per-record schedule validation happens
-// during replay, inside the engine.
-func loadCheckpoint(path string, want header) (recs []Record, truncateTo int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, -1, fmt.Errorf("search: read checkpoint: %w", err)
-	}
-	wantHeader, err := marshalLine(want)
-	if err != nil {
-		return nil, -1, err
-	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 || !bytes.Equal(data[:nl+1], wantHeader) {
-		return nil, -1, fmt.Errorf("search: checkpoint %s does not match this search (header mismatch)", path)
-	}
-	offset := int64(nl + 1)
-	rest := data[nl+1:]
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			// Torn trailing line: the interrupt hit mid-write. Resume by
-			// truncating it away and re-running its record.
-			return recs, offset, nil
-		}
-		line := rest[:nl+1]
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A complete but unparsable line is corruption, not a tear.
-			return nil, -1, fmt.Errorf("search: checkpoint record %d: %w", len(recs), err)
-		}
-		recs = append(recs, rec)
-		offset += int64(nl + 1)
-		rest = rest[nl+1:]
-	}
-	return recs, offset, nil
-}
-
-// resumeCheckpoint reopens path for appending after loadCheckpoint,
-// truncating any torn trailing line first.
-func resumeCheckpoint(path string, truncateTo int64) (*checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return nil, fmt.Errorf("search: reopen checkpoint: %w", err)
-	}
-	if err := f.Truncate(truncateTo); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("search: truncate torn checkpoint tail: %w", err)
-	}
-	if _, err := f.Seek(truncateTo, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("search: seek checkpoint: %w", err)
-	}
-	return &checkpoint{f: f, w: bufio.NewWriter(f)}, nil
-}
-
 // emitter sequences the deterministic record stream: a loaded replay
 // prefix is consumed first (validated step by step against the
 // schedule, its measured counts substituting for simulation), then
@@ -187,7 +56,7 @@ func resumeCheckpoint(path string, truncateTo int64) (*checkpoint, error) {
 // function of (params, seed), an interrupted-then-resumed checkpoint is
 // byte-identical to an uninterrupted one.
 type emitter struct {
-	cp     *checkpoint // nil when checkpointing is off
+	cp     *jsonl.Writer // nil when checkpointing is off
 	replay []Record
 	pos    int
 }
@@ -218,7 +87,7 @@ func (e *emitter) step(kind, arm string, wave int, compute func() (Record, error
 		return Record{}, false, err
 	}
 	if e.cp != nil {
-		if err := e.cp.append(rec); err != nil {
+		if err := e.cp.Append(rec, rec.Kind+"/"+rec.Arm); err != nil {
 			return Record{}, false, err
 		}
 	}

@@ -43,10 +43,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/jsonl"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -317,24 +317,12 @@ func RunContext(ctx context.Context, proto sim.Protocol, space core.StrategySpac
 			Arms:    len(e.arms),
 			Grid:    fmt.Sprintf("%016x", keyHash(keys, seed)),
 		}
-		if _, statErr := os.Stat(o.Checkpoint); statErr == nil {
-			recs, truncateTo, err := loadCheckpoint(o.Checkpoint, hd)
-			if err != nil {
-				return nil, err
-			}
-			cp, err := resumeCheckpoint(o.Checkpoint, truncateTo)
-			if err != nil {
-				return nil, err
-			}
-			e.em = &emitter{cp: cp, replay: recs}
-		} else {
-			cp, err := createCheckpoint(o.Checkpoint, hd)
-			if err != nil {
-				return nil, err
-			}
-			e.em = &emitter{cp: cp}
+		cp, recs, err := jsonl.Open[Record](o.Checkpoint, "search", hd, nil)
+		if err != nil {
+			return nil, err
 		}
-		defer e.em.cp.close()
+		defer cp.Close()
+		e.em = &emitter{cp: cp, replay: recs}
 	}
 
 	var rep *Report

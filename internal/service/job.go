@@ -165,15 +165,9 @@ func (p SweepParams) paramString() string {
 	for i, g := range s.Gammas {
 		gs[i] = gammaString(g)
 	}
-	key := fmt.Sprintf("sweep|fam=%v|g=%v|n=%v|t=%v|p=%v|cost=%v|abort=%t|sup=%d|supsearch=%t|runs=%d|hw=%g|delta=%g|min=%d|max=%d|slack=%g",
-		s.Families, gs, s.Ns, s.Ts, s.Ps, s.Costs, s.AbortSweep, s.SupRuns, s.SupSearch,
+	return fmt.Sprintf("sweep|fam=%v|g=%v|n=%v|t=%v|p=%v|cost=%v|abort=%t|sup=%d|runs=%d|hw=%g|delta=%g|min=%d|max=%d|slack=%g",
+		s.Families, gs, s.Ns, s.Ts, s.Ps, s.Costs, s.AbortSweep, s.SupRuns,
 		s.Runs, s.TargetHW, s.Delta, s.MinRuns, s.MaxRuns, s.Slack)
-	// The control variate changes record bytes, so it joins the key —
-	// but only when set, preserving every option-free cache key.
-	if s.ControlVariates {
-		key += "|cv=true"
-	}
-	return key
 }
 
 func (p SweepParams) seed() int64 { return p.Spec.Seed }
@@ -251,12 +245,11 @@ type Result struct {
 type JobOption func(*jobOptions)
 
 type jobOptions struct {
-	parallelism int
-	traceSink   *trace.Sink
-	checkpoint  string
-	progress    sweep.Progress
-	traceLabel  string
-	ctx         context.Context
+	traceSink  *trace.Sink
+	checkpoint string
+	progress   sweep.Progress
+	traceLabel string
+	ctx        context.Context
 }
 
 // local reports whether the job carries execution-local side effects
@@ -276,13 +269,6 @@ func (o *jobOptions) local() bool {
 // resubmit.
 func WithJobContext(ctx context.Context) JobOption {
 	return func(o *jobOptions) { o.ctx = ctx }
-}
-
-// WithJobParallelism overrides the pool's default estimator
-// parallelism for one job. Scheduling only: results are identical for
-// every setting.
-func WithJobParallelism(n int) JobOption {
-	return func(o *jobOptions) { o.parallelism = n }
 }
 
 // WithTrace attaches a JSONL transcript sink: every simulated run of an

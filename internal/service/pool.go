@@ -23,9 +23,8 @@ type Config struct {
 	// CacheSize is the LRU result-cache capacity in entries (0 selects
 	// DefaultCacheSize, negative disables caching).
 	CacheSize int
-	// Parallelism is the default estimator worker count per job
-	// (0 = one per CPU); WithJobParallelism overrides it per job.
-	// Scheduling only — results are identical for every setting.
+	// Parallelism is the estimator worker count per job (0 = one per
+	// CPU). Scheduling only — results are identical for every setting.
 	Parallelism int
 	// RetainJobs bounds how many completed jobs stay addressable by ID
 	// (0 selects DefaultRetainJobs). The bound keeps an always-on
@@ -180,7 +179,6 @@ func (p *Pool) Submit(params Params, opts ...JobOption) (*Job, error) {
 		return nil, err
 	}
 	var jo jobOptions
-	jo.parallelism = p.parallelism
 	for _, o := range opts {
 		o(&jo)
 	}
@@ -334,7 +332,7 @@ func (p *Pool) run(j *Job) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := []core.Option{core.WithParallelism(j.opts.parallelism)}
+		opts := []core.Option{core.WithParallelism(p.parallelism)}
 		if sink := j.opts.traceSink; sink != nil {
 			label := j.opts.traceLabel
 			opts = append(opts, core.WithObserver(func(run int) sim.Observer {
@@ -362,7 +360,7 @@ func (p *Pool) run(j *Job) (*Result, error) {
 			}
 			space[i] = core.NamedAdversary{Name: name, Adv: adv}
 		}
-		opts := []core.Option{core.WithParallelism(j.opts.parallelism)}
+		opts := []core.Option{core.WithParallelism(p.parallelism)}
 		if sink := j.opts.traceSink; sink != nil {
 			opts = append(opts, core.WithSupObserver(func(strategy string, run int) sim.Observer {
 				return sink.Recorder(trace.Meta{Strategy: strategy, Run: run})
@@ -390,7 +388,7 @@ func (p *Pool) run(j *Job) (*Result, error) {
 			ctx = context.Background()
 		}
 		o := params.Options()
-		o.Parallelism = j.opts.parallelism
+		o.Parallelism = p.parallelism
 		o.Checkpoint = j.opts.checkpoint
 		rep, err := search.RunContext(ctx, proto, space, resolvePayoff(params.Gamma, params.Proto),
 			sampler, params.Seed, o)

@@ -9,8 +9,8 @@ import (
 )
 
 // TestSearchJob pins the search job's determinism contract: a pool job
-// — fresh and cache-hit, at any parallelism — returns the very report a
-// direct search.Run call computes for the same (params, seed).
+// — fresh and cache-hit — returns the very report a direct search.Run
+// call computes for the same (params, seed).
 func TestSearchJob(t *testing.T) {
 	params := SearchParams{
 		Proto: "pi1", Space: SpaceRaw,
@@ -30,7 +30,7 @@ func TestSearchJob(t *testing.T) {
 	}
 
 	p := newTestPool(t, 2)
-	j, err := p.Submit(params, WithJobParallelism(1))
+	j, err := p.Submit(params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +50,8 @@ func TestSearchJob(t *testing.T) {
 			res.Search.TotalRuns, res.Search.Waves, want.TotalRuns, want.Waves)
 	}
 
-	// Resubmission at a different parallelism must hit the cache:
-	// scheduling knobs are excluded from the key by construction.
-	j2, err := p.Submit(params, WithJobParallelism(4))
+	// A resubmission must hit the cache.
+	j2, err := p.Submit(params)
 	if err != nil {
 		t.Fatal(err)
 	}

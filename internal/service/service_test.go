@@ -82,35 +82,31 @@ func TestEstimateMatchesCore(t *testing.T) {
 	}
 }
 
-// TestCacheKeyExcludesScheduling: parallelism is scheduling-only, so a
-// resubmission at a different parallelism must hit the cache.
+// TestCacheKeyExcludesScheduling: parallelism is scheduling-only, so
+// pools at different parallelism key the same params alike and return
+// the same report.
 func TestCacheKeyExcludesScheduling(t *testing.T) {
-	p := newTestPool(t, 2)
 	params := EstimateParams{Proto: "pi2", Adv: "agen", Runs: 100, Seed: 5}
-	j1, err := p.Submit(params, WithJobParallelism(1))
-	if err != nil {
-		t.Fatal(err)
+	var results [2]*Result
+	for i, par := range []int{1, 4} {
+		p := New(Config{Workers: 1, CacheSize: 64, Parallelism: par})
+		j, err := p.Submit(params)
+		if err != nil {
+			p.Close()
+			t.Fatal(err)
+		}
+		results[i], err = j.Wait()
+		p.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	r1, err := j1.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := p.Submit(params, WithJobParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := j2.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.CacheHit {
-		t.Fatal("different parallelism missed the cache; scheduling leaked into the key")
+	r1, r2 := results[0], results[1]
+	if r1.Key == 0 || r1.Key != r2.Key {
+		t.Fatalf("keys differ: %x vs %x — scheduling leaked into the key", r1.Key, r2.Key)
 	}
 	if !reflect.DeepEqual(r1.Estimate, r2.Estimate) {
-		t.Fatalf("cached report differs: %+v vs %+v", r1.Estimate, r2.Estimate)
-	}
-	if r1.Key == 0 || r1.Key != r2.Key {
-		t.Fatalf("keys differ: %x vs %x", r1.Key, r2.Key)
+		t.Fatalf("reports differ across parallelism: %+v vs %+v", r1.Estimate, r2.Estimate)
 	}
 }
 

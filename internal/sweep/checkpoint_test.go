@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/jsonl"
 )
 
 // smallSpec is a small grid with both cell and aggregate sum records.
@@ -144,7 +145,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	hd, err := marshalLine(sw.header())
+	hd, err := jsonl.Line(sw.header())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -142,7 +142,8 @@ func buildAdversary(c Cell) (sim.Adversary, error) {
 	return nil, fmt.Errorf("sweep: unknown adversary %q", c.Adv)
 }
 
-// buildSpace returns the sup-search strategy space for a "sup" cell.
+// buildSpace returns the standard strategy space a "sup-search" cell
+// races.
 func buildSpace(c Cell, proto sim.Protocol) []core.NamedAdversary {
 	if c.N == 2 {
 		return adversary.TwoPartySpace(proto.NumRounds())

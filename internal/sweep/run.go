@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+
+	"repro/internal/jsonl"
 )
 
 // Summary is the outcome of a sweep run.
@@ -56,27 +57,15 @@ func RunContext(ctx context.Context, spec Spec, path string, progress Progress) 
 	sum := &Summary{TotalChecks: sw.TotalChecks(), Skipped: sw.Skipped}
 	total := sw.Records()
 
-	var cp *Checkpoint
+	var cp *jsonl.Writer
 	var done []Record
 	if path != "" {
-		if _, statErr := os.Stat(path); statErr == nil {
-			recs, truncateTo, loadErr := LoadCheckpoint(path, sw)
-			if loadErr != nil {
-				return nil, loadErr
-			}
-			cp, err = ResumeCheckpoint(path, sw, len(recs), truncateTo)
-			if err != nil {
-				return nil, err
-			}
-			done = recs
-			sum.Resumed = len(recs)
-		} else {
-			cp, err = CreateCheckpoint(path, sw)
-			if err != nil {
-				return nil, err
-			}
+		cp, done, err = jsonl.Open(path, "sweep", sw.header(), sw.checkKey())
+		if err != nil {
+			return nil, err
 		}
 		defer cp.Close()
+		sum.Resumed = len(done)
 	}
 
 	emit := func(rec Record, resumed bool) error {
@@ -85,7 +74,7 @@ func RunContext(ctx context.Context, spec Spec, path string, progress Progress) 
 			sum.Breaches = append(sum.Breaches, rec)
 		}
 		if !resumed && cp != nil {
-			if err := cp.Append(rec); err != nil {
+			if err := cp.Append(rec, rec.Key); err != nil {
 				return err
 			}
 		}

@@ -6,11 +6,10 @@
 // A sweep enumerates a deterministic grid over (protocol family, payoff
 // vector γ, party count n, corruption threshold t, attacker — including
 // an abort-round sweep — and cost function), measures every cell with
-// the options-based core.EstimateUtility / core.SupUtility on the
-// batched estimation engine, and certifies the estimate against the
-// applicable closed-form bound using the estimate's confidence interval
-// widened to a sweep-wide union-bound margin, plus flat slack. Any
-// breach fails the sweep.
+// core.EstimateUtility (sup cells with the racing search.Run), and
+// certifies the estimate against the applicable closed-form bound using
+// the estimate's confidence interval widened to a sweep-wide union-bound
+// margin, plus flat slack. Any breach fails the sweep.
 //
 // Determinism contract (the PR-4 contract extended to the grid): every
 // cell is keyed by a hash of (cell parameters, sweep seed), the cell's
@@ -65,17 +64,11 @@ type Spec struct {
 	// AbortSweep adds an abort-at-round attacker for every round
 	// r = 1..NumRounds+1 — the grid's round dimension.
 	AbortSweep bool
-	// SupRuns, when > 0, adds one sup-search cell per (family, γ, n, t)
-	// running core.SupUtilitySpace over the standard strategy space with
-	// this many runs per strategy.
+	// SupRuns, when > 0, adds one "sup-search" cell per (family, γ, n, t):
+	// the racing search engine (internal/search) races the standard
+	// strategy space, at most SupRuns runs per arm, and certifies a
+	// fresh SupRuns-run estimate of the winner.
 	SupRuns int
-	// SupSearch computes the sup cells with the racing best-response
-	// search engine (internal/search) instead of exhaustive enumeration:
-	// the certified winner is estimated at SupRuns resolution, dominated
-	// strategies are eliminated early. Cells get Adv "sup-search" — a
-	// distinct key — so records never collide with the frozen "sup"
-	// matrix.
-	SupSearch bool
 
 	// Runs is the flat per-cell run count; 0 selects adaptive sampling.
 	Runs int
@@ -93,17 +86,6 @@ type Spec struct {
 	// Parallelism is the per-cell estimator worker count (0 = one per
 	// CPU). It never changes any record — see core.EstimateUtility.
 	Parallelism int
-
-	// ControlVariates enables exact-residual estimation
-	// (core.WithControlVariate) on cells backed by an exact law —
-	// currently the Gordon–Katz first-hit cells, whose E10 probability is
-	// core.GKFirstHitExact. The cell then samples only the payoff's
-	// residual against the law, reaching the same certified margin at a
-	// fraction of the variance (at the Section 5 payoff the residual is
-	// identically zero and the estimate is exact). Means change only
-	// within the estimator's confidence interval, but the records' bytes
-	// differ — off by default, byte-identical when off.
-	ControlVariates bool
 }
 
 // DefaultSpec is the full standing grid: every family, three Γ+fair
@@ -143,8 +125,8 @@ type Cell struct {
 	Gamma  core.Payoff
 	N, T   int
 	// Adv names the attacker: "lock", "setup", "gmwsetup", "abort@r",
-	// "firsthit", "sup" (an exhaustive sup-search over the standard
-	// space), or "sup-search" (the same sup via the racing engine).
+	// "firsthit", or "sup-search" (the sup over the standard strategy
+	// space, raced by the search engine).
 	Adv  string
 	Cost string
 	// P is the Gordon–Katz 1/p parameter (gk family only).
@@ -236,11 +218,7 @@ func (s Spec) advsFor(family string, rounds int) []string {
 		}
 	}
 	if s.SupRuns > 0 {
-		if s.SupSearch {
-			advs = append(advs, "sup-search")
-		} else {
-			advs = append(advs, "sup")
-		}
+		advs = append(advs, "sup-search")
 	}
 	return advs
 }
@@ -468,7 +446,7 @@ func Plan(spec Spec) (*Sweep, error) {
 	sw.deltaPrime = spec.Delta / float64(sw.totalChecks)
 	for i := range sw.Cells {
 		c := &sw.Cells[i]
-		if c.Adv == "sup" || c.Adv == "sup-search" {
+		if c.Adv == "sup-search" {
 			c.Runs = spec.SupRuns
 		} else if spec.Runs > 0 {
 			c.Runs = spec.Runs
@@ -499,66 +477,28 @@ func Plan(spec Spec) (*Sweep, error) {
 // estimator's 95% normal half-width widened to the sweep-wide
 // union-bound Hoeffding half-width (range-scaled), whichever is larger.
 func (s *Sweep) margin(c Cell, hw float64) float64 {
-	return s.marginSpan(span(c.Gamma), c.Runs, hw)
-}
-
-// marginSpan is margin with an explicit sample range: control-variate
-// cells certify over the residual payoffs, whose range (possibly zero —
-// the estimate is then exact) replaces the full payoff span in the
-// Hoeffding widening.
-func (s *Sweep) marginSpan(sp float64, runs int, hw float64) float64 {
-	hoeff := sp * stats.HoeffdingHalfWidth(int64(runs), s.deltaPrime)
+	hoeff := span(c.Gamma) * stats.HoeffdingHalfWidth(int64(c.Runs), s.deltaPrime)
 	return math.Max(hw, hoeff)
-}
-
-// residualSpan is the range of the residual payoffs γ(E) − C(E) the
-// control-variate estimator actually samples.
-func residualSpan(g core.Payoff, cv core.ControlVariate) float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, e := range core.Events() {
-		v := g.Of(e) - cv.EventValue[i]
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	return hi - lo
 }
 
 // runCell measures and certifies one cell. Deterministic: depends only
 // on the cell (which embeds its runs and seed) and the spec's
-// scheduling-neutral options — plus, when enabled, the statistical
-// ControlVariates option, itself a pure function of the cell.
+// scheduling-neutral options.
 func (s *Sweep) runCell(c Cell) (Record, error) {
 	proto, err := buildProtocol(c.Family, c.N, c.P)
 	if err != nil {
 		return Record{}, fmt.Errorf("sweep: cell %s: %w", c.Key, err)
 	}
 	sampler := buildSampler(c.Family, c.N)
-	opts := []core.Option{core.WithParallelism(s.Spec.Parallelism)}
-	cellSpan := span(c.Gamma)
-	cvNote := ""
-	if s.Spec.ControlVariates && c.Family == "gk" && c.Adv == "firsthit" {
-		cv := core.GKFirstHitControl(c.Gamma, proto.NumRounds()/2, 0.5)
-		opts = append(opts, core.WithControlVariate(cv))
-		cellSpan = residualSpan(c.Gamma, cv)
-		cvNote = "cv=" + cv.Name
-	}
 
 	var rep core.UtilityReport
 	note := ""
-	switch {
-	case c.Adv == "sup":
-		space := buildSpace(c, proto)
-		sup, err := core.SupUtilitySpace(proto, core.SliceSpace(space), c.Gamma, sampler, c.Runs, c.Seed, opts...)
-		if err != nil {
-			return Record{}, fmt.Errorf("sweep: cell %s: %w", c.Key, err)
-		}
-		rep = sup.BestReport
-		note = "best: " + sup.Best
-	case c.Adv == "sup-search":
-		// The racing engine certifies the winner at the same c.Runs
-		// resolution the exhaustive sup cell would use — the margin
-		// arithmetic below sees an estimate of identical sample size —
-		// while racing spends at most c.Runs per eliminated rival.
+	if c.Adv == "sup-search" {
+		// A sup cell certifies one fresh c.Runs-run estimate of the
+		// racing winner, at the winner's arm seed, which the racing
+		// waves never draw from: the margin below spends one δ′ on it,
+		// like any other cell. An exhaustive sup would report the
+		// largest of K estimates against that one δ′.
 		so := search.Options{RaceRuns: c.Runs, FinalRuns: c.Runs, Parallelism: s.Spec.Parallelism}
 		srep, err := search.Run(proto, core.SliceSpace(buildSpace(c, proto)), c.Gamma, sampler, c.Seed, so)
 		if err != nil {
@@ -566,26 +506,20 @@ func (s *Sweep) runCell(c Cell) (Record, error) {
 		}
 		rep = srep.BestReport
 		note = fmt.Sprintf("best: %s (raced %d/%d runs)", srep.Best, srep.TotalRuns, srep.ExhaustiveRuns)
-	default:
+	} else {
 		adv, err := buildAdversary(c)
 		if err != nil {
 			return Record{}, err
 		}
-		rep, err = core.EstimateUtility(proto, adv, c.Gamma, sampler, c.Runs, c.Seed, opts...)
+		rep, err = core.EstimateUtility(proto, adv, c.Gamma, sampler, c.Runs, c.Seed,
+			core.WithParallelism(s.Spec.Parallelism))
 		if err != nil {
 			return Record{}, fmt.Errorf("sweep: cell %s: %w", c.Key, err)
 		}
 	}
 
-	if cvNote != "" {
-		if note != "" {
-			note += "; "
-		}
-		note += cvNote
-	}
-
 	est := rep.Utility
-	m := s.marginSpan(cellSpan, c.Runs, est.HalfWidth)
+	m := s.margin(c, est.HalfWidth)
 	boundName, bound := cellBound(c, proto)
 	rec := Record{
 		Kind: "cell", Key: c.Key, Family: c.Family,

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -161,96 +159,64 @@ func TestSweepSmokeNoBreaches(t *testing.T) {
 	}
 }
 
-// TestSupCells exercises the SupUtility entry point through the grid.
+// TestSupCells pins the sweep's sup cells: with SupRuns set, every
+// (family, n, t) gets one "sup-search" cell whose raced winner is the
+// best strategy core.SupUtilitySpace finds by enumerating the same space
+// at the cell's runs and seed, and the records repeat byte for byte.
 func TestSupCells(t *testing.T) {
 	spec := Spec{
-		Families: []string{"2sfe", "gmwhalf"},
+		Families: []string{"pi1", "gmwhalf"},
 		Gammas:   []core.Payoff{core.StandardPayoff()},
 		Ns:       []int{2, 4},
-		Runs:     200,
-		SupRuns:  120,
-		Seed:     7,
-	}
-	sum, err := Run(spec, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	supSeen := false
-	for _, r := range sum.Records {
-		if r.Adv == "sup" {
-			supSeen = true
-			if r.Note == "" {
-				t.Errorf("sup record %s lacks best-strategy note", r.Key)
-			}
-		}
-	}
-	if !supSeen {
-		t.Fatal("no sup cells in grid with SupRuns set")
-	}
-}
-
-// TestSupSearchCells pins the racing sup path: with Spec.SupSearch the
-// grid emits "sup-search" cells — fresh keys, so frozen "sup" records
-// can never be confused with raced ones — that certify the same winning
-// strategy the exhaustive sup cell finds, race strictly fewer runs than
-// enumeration would, and reproduce byte-for-byte.
-func TestSupSearchCells(t *testing.T) {
-	spec := Spec{
-		Families: []string{"pi1"},
-		Gammas:   []core.Payoff{core.StandardPayoff()},
-		Ns:       []int{2},
-		Costs:    []string{"zero"},
 		Runs:     200,
 		SupRuns:  200,
 		Seed:     7,
 	}
-	exh, err := Run(spec, "", nil)
+	dir := t.TempDir()
+	first, again := filepath.Join(dir, "first.jsonl"), filepath.Join(dir, "again.jsonl")
+	sum, err := Run(spec, first, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.SupSearch = true
-	raced, err := Run(spec, "", nil)
+	sw, err := Plan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bestOf := func(sum *Summary, adv string) map[string]string {
-		out := map[string]string{}
-		for _, r := range sum.Records {
-			if r.Adv != adv {
-				continue
-			}
-			name := strings.TrimPrefix(r.Note, "best: ")
-			if i := strings.Index(name, " ("); i >= 0 {
-				name = name[:i]
-			}
-			out[fmt.Sprintf("%s/n%d/t%d", r.Family, r.N, r.T)] = name
+	supCells := 0
+	for i, c := range sw.Cells {
+		if c.Adv != "sup-search" {
+			continue
 		}
-		return out
-	}
-	want := bestOf(exh, "sup")
-	got := bestOf(raced, "sup-search")
-	if len(want) == 0 || len(got) == 0 {
-		t.Fatalf("missing sup cells: exhaustive=%d raced=%d", len(want), len(got))
-	}
-	for cell, name := range want {
-		if got[cell] != name {
-			t.Errorf("cell %s: raced best %q, want exhaustive best %q", cell, got[cell], name)
+		supCells++
+		proto, err := buildProtocol(c.Family, c.N, c.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := core.SupUtilitySpace(proto, core.SliceSpace(buildSpace(c, proto)), c.Gamma,
+			buildSampler(c.Family, c.N), c.Runs, c.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if note := sum.Records[i].Note; !strings.HasPrefix(note, "best: "+ref.Best+" (raced ") {
+			t.Errorf("%s n=%d t=%d: note %q, want raced winner %q", c.Family, c.N, c.T, note, ref.Best)
 		}
 	}
-	for _, r := range raced.Records {
-		if r.Adv == "sup-search" && !strings.Contains(r.Note, "raced") {
-			t.Errorf("sup-search record %s lacks racing note: %q", r.Key, r.Note)
-		}
-	}
-	if !raced.OK() {
-		t.Fatalf("raced sweep breached: %+v", raced.Breaches)
+	if supCells == 0 {
+		t.Fatal("no sup-search cells in grid with SupRuns set")
 	}
 
-	again, err := Run(spec, "", nil)
+	if _, err := Run(spec, again, nil); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(raced.Records, again.Records) {
+	b, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
 		t.Fatal("sup-search records are not reproducible across runs")
 	}
 }
