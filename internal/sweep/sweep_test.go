@@ -159,11 +159,41 @@ func TestSweepSmokeNoBreaches(t *testing.T) {
 	}
 }
 
-// TestSupCells pins the sweep's sup cells: with SupRuns set, every
-// (family, n, t) gets one "sup-search" cell whose raced winner is the
-// best strategy core.SupUtilitySpace finds by enumerating the same space
-// at the cell's runs and seed, and the records repeat byte for byte.
+// TestSupCells exercises the SupUtility entry point through the grid:
+// with SupRuns set, the sweep emits "sup-search" cells, each naming its
+// best strategy, and the sweep certifies.
 func TestSupCells(t *testing.T) {
+	spec := Spec{
+		Families: []string{"2sfe", "gmwhalf"},
+		Gammas:   []core.Payoff{core.StandardPayoff()},
+		Ns:       []int{2, 4},
+		Runs:     200,
+		SupRuns:  120,
+		Seed:     7,
+	}
+	sum, err := Run(spec, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	supSeen := false
+	for _, r := range sum.Records {
+		if r.Adv == "sup-search" {
+			supSeen = true
+			if !strings.HasPrefix(r.Note, "best: ") {
+				t.Errorf("sup-search record %s lacks best-strategy note: %q", r.Key, r.Note)
+			}
+		}
+	}
+	if !supSeen {
+		t.Fatal("no sup-search cells in grid with SupRuns set")
+	}
+}
+
+// TestSupSearchCells pins the racing sup path: every (family, n, t) gets
+// one "sup-search" cell whose raced winner is the best strategy
+// core.SupUtilitySpace finds by enumerating the same space at the cell's
+// runs and seed, and the records repeat byte for byte.
+func TestSupSearchCells(t *testing.T) {
 	spec := Spec{
 		Families: []string{"pi1", "gmwhalf"},
 		Gammas:   []core.Payoff{core.StandardPayoff()},
