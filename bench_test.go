@@ -219,22 +219,27 @@ func BenchmarkEstimate2SFEMill(b *testing.B) {
 // registry's gk-polyrange:2 (AND at x = (1, 1), 8 value pairs): under
 // lock-abort most runs end after reading the first pair (1.4 on
 // average), so ShareGen deals only those; under static (honest
-// corruption) a run reads all 8.
+// corruption) a run reads all 8. polyrange8-lock-abort is the same
+// attack on gk-polyrange:8 (128 pairs, 257 engine rounds): a run stops
+// once every party has gone quiet, so it costs about what p = 2 costs.
+// CI's bench-smoke job holds every case at 0 allocs/run.
 func BenchmarkEstimateGordonKatz(b *testing.B) {
-	proto, err := NewPolyRange(ANDFunction(), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
 	into := func(_ *rand.Rand, dst []Value) []Value {
 		return append(dst, uint64(1), uint64(1))
 	}
 	for _, tc := range []struct {
 		name string
+		p    int
 		adv  Adversary
 	}{
-		{"lock-abort", NewLockAbort(1)},
-		{"static", NewStatic(1)},
+		{"lock-abort", 2, NewLockAbort(1)},
+		{"static", 2, NewStatic(1)},
+		{"polyrange8-lock-abort", 8, NewLockAbort(1)},
 	} {
+		proto, err := NewPolyRange(ANDFunction(), tc.p)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(tc.name, func(b *testing.B) {
 			benchEstimate(b, proto, tc.adv, nil, WithParallelism(1), WithSamplerInto(into))
 		})

@@ -50,12 +50,13 @@ func (d *driver) add(id sim.PartyID, m sim.Party) {
 }
 
 // stepHonest advances every corrupted machine one round on its delivered
-// inbox and returns their outgoing messages, exactly as honest execution
-// would. The returned slice is driver-owned scratch.
-func (d *driver) stepHonest(round int, inboxes map[sim.PartyID][]sim.Message) []sim.Message {
+// inbox (inboxes is indexed by party id − 1) and returns their outgoing
+// messages, exactly as honest execution would. The returned slice is
+// driver-owned scratch.
+func (d *driver) stepHonest(round int, inboxes [][]sim.Message) []sim.Message {
 	out := d.outScratch[:0]
 	for i, id := range d.held {
-		msgs, err := d.machines[i].Round(round, inboxes[id])
+		msgs, err := d.machines[i].Round(round, inboxes[id-1])
 		if err != nil {
 			continue // a defective machine just goes silent
 		}

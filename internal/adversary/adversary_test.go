@@ -123,7 +123,7 @@ func TestLockAbortCoalitionChain(t *testing.T) {
 	if !tr.AdvLearned {
 		t.Fatal("coalition should lock the output")
 	}
-	if rec := tr.HonestOutputs[1]; rec.OK {
+	if rec := tr.HonestOutputs[0]; rec.OK {
 		t.Errorf("party 1 should have been denied the output, got %+v", rec)
 	}
 }
@@ -180,10 +180,10 @@ func TestAbortAtSilencesFromRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := tr.HonestOutputs[1]; rec.OK {
+	if rec := tr.HonestOutputs[0]; rec.OK {
 		t.Errorf("party 1 got %v despite the cut chain", rec.Value)
 	}
-	if rec := tr.HonestOutputs[3]; rec.OK {
+	if rec := tr.HonestOutputs[2]; rec.OK {
 		t.Errorf("party 3 got %v despite the cut chain", rec.Value)
 	}
 }
@@ -295,7 +295,7 @@ func TestRushedLearnWhileSilent(t *testing.T) {
 	if !tr.AdvLearned {
 		t.Error("silent party 3 should still learn from its inbox")
 	}
-	if rec := tr.HonestOutputs[1]; rec.OK {
+	if rec := tr.HonestOutputs[0]; rec.OK {
 		t.Error("party 1 should not receive the withheld broadcast")
 	}
 }

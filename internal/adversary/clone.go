@@ -80,3 +80,6 @@ func NewFactory(fresh func() sim.Adversary) *Factory {
 func (f *Factory) CloneAdversary() sim.Adversary {
 	return &Factory{Adversary: f.fresh(), fresh: f.fresh}
 }
+
+// Quiet implements sim.Quiescent, delegating to the wrapped instance.
+func (f *Factory) Quiet() bool { return sim.IsQuiet(f.Adversary) }

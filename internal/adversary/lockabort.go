@@ -44,9 +44,13 @@ type lookaheadScratch struct {
 	seed     [][]sim.Message // the rushed messages, routed
 	lanes    [2][][]sim.Message
 	produced []sim.Message
+	calls    int // clone Round calls, for tests (export_test.go)
 }
 
-var _ sim.Adversary = (*LockAbort)(nil)
+var (
+	_ sim.Adversary = (*LockAbort)(nil)
+	_ sim.Quiescent = (*LockAbort)(nil)
+)
 
 // NewLockAbort corrupts the given parties and plays lock-and-abort.
 func NewLockAbort(targets ...sim.PartyID) *LockAbort {
@@ -74,10 +78,14 @@ func (l *LockAbort) Reset(ctx *sim.AdvContext) {
 // ObserveSetup implements sim.Adversary: setup is never aborted —
 // aborting the hybrid can only yield γ00/γ01, never γ10 (the setup
 // outputs reveal nothing before the reconstruction rounds).
-func (l *LockAbort) ObserveSetup(map[sim.PartyID]sim.Value) bool { return false }
+func (l *LockAbort) ObserveSetup([]sim.Value) bool { return false }
+
+// Quiet implements sim.Quiescent: once aborted, the strategy sends and
+// learns nothing more.
+func (l *LockAbort) Quiet() bool { return l.aborted }
 
 // Act implements sim.Adversary.
-func (l *LockAbort) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (l *LockAbort) Act(round int, inboxes [][]sim.Message, rushed []sim.Message) []sim.Message {
 	last := l.ctx.Protocol.NumRounds() + 1
 	if l.aborted {
 		return nil
@@ -88,7 +96,7 @@ func (l *LockAbort) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed
 	// silent?
 	deliv := l.la.deliv[:0]
 	for _, id := range l.held {
-		deliv = append(deliv, inboxes[id])
+		deliv = append(deliv, inboxes[id-1])
 	}
 	l.la.deliv = deliv
 	if v, ok := l.coalitionLookahead(round, deliv, last, l.ctx.TrueOutput); ok {
@@ -166,7 +174,8 @@ func routeInto(dst [][]sim.Message, held []sim.PartyID, msgs []sim.Message) [][]
 // restricted to the *actual* output so that default-input fallbacks
 // don't count (as in A1's check). seed is only read; the routed rounds
 // double-buffer through the scratch lanes. The coalition steps in
-// ascending id order.
+// ascending id order, and stops after a round in which no copy sent a
+// message and every copy is quiet: no output can change after it.
 func (l *LockAbort) coalitionLookahead(startRound int,
 	seed [][]sim.Message, last int, target sim.Value) (sim.Value, bool) {
 	s := &l.la
@@ -187,6 +196,7 @@ func (l *LockAbort) coalitionLookahead(startRound int,
 		s.produced = s.produced[:0]
 		for i, c := range s.clones {
 			msgs, err := c.Round(r, inboxes[i])
+			s.calls++
 			if err != nil {
 				continue
 			}
@@ -195,10 +205,15 @@ func (l *LockAbort) coalitionLookahead(startRound int,
 				s.produced = append(s.produced, m)
 			}
 		}
+		quiet := len(s.produced) == 0
 		for _, c := range s.clones {
 			if v, ok := c.Output(); ok && sim.ValuesEqual(v, target) {
 				return v, true
 			}
+			quiet = quiet && sim.IsQuiet(c)
+		}
+		if quiet {
+			break
 		}
 		s.lanes[lane] = routeInto(s.lanes[lane], l.held, s.produced)
 		inboxes = s.lanes[lane]
@@ -254,7 +269,7 @@ func (m *Mixer) SubstituteInput(id sim.PartyID, orig sim.Value) sim.Value {
 }
 
 // ObserveSetup implements sim.Adversary.
-func (m *Mixer) ObserveSetup(outputs map[sim.PartyID]sim.Value) bool {
+func (m *Mixer) ObserveSetup(outputs []sim.Value) bool {
 	return m.active.ObserveSetup(outputs)
 }
 
@@ -267,9 +282,12 @@ func (m *Mixer) OnCorrupt(id sim.PartyID, p sim.Party, setupOut sim.Value) {
 }
 
 // Act implements sim.Adversary.
-func (m *Mixer) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (m *Mixer) Act(round int, inboxes [][]sim.Message, rushed []sim.Message) []sim.Message {
 	return m.active.Act(round, inboxes, rushed)
 }
 
 // Learned implements sim.Adversary.
 func (m *Mixer) Learned() (sim.Value, bool) { return m.active.Learned() }
+
+// Quiet implements sim.Quiescent, delegating to this run's strategy.
+func (m *Mixer) Quiet() bool { return sim.IsQuiet(m.active) }

@@ -8,6 +8,10 @@ import (
 // the corrupted machines honestly unless a subclass decides otherwise.
 // On its own it is the "honest-but-corrupted" strategy: it relays
 // faithfully and reports the output once a corrupted machine produces it.
+//
+// Static has no Quiet method (sim.Quiescent), although honest relaying
+// goes quiet with its machines: a strategy that embeds Static to tamper
+// or send late would inherit it and be cut short.
 type Static struct {
 	driver
 	// Targets is the corrupted set.
@@ -37,7 +41,7 @@ func (s *Static) InitialCorruptions() []sim.PartyID { return s.Targets }
 func (s *Static) SubstituteInput(_ sim.PartyID, orig sim.Value) sim.Value { return orig }
 
 // ObserveSetup implements sim.Adversary: never aborts the hybrid.
-func (s *Static) ObserveSetup(map[sim.PartyID]sim.Value) bool { return false }
+func (s *Static) ObserveSetup([]sim.Value) bool { return false }
 
 // CorruptBefore implements sim.Adversary: static corruption only.
 func (s *Static) CorruptBefore(int) []sim.PartyID { return nil }
@@ -46,7 +50,7 @@ func (s *Static) CorruptBefore(int) []sim.PartyID { return nil }
 func (s *Static) OnCorrupt(id sim.PartyID, m sim.Party, _ sim.Value) { s.add(id, m) }
 
 // Act implements sim.Adversary: honest execution.
-func (s *Static) Act(round int, inboxes map[sim.PartyID][]sim.Message, _ []sim.Message) []sim.Message {
+func (s *Static) Act(round int, inboxes [][]sim.Message, _ []sim.Message) []sim.Message {
 	out := s.stepHonest(round, inboxes)
 	s.noteOutputs()
 	return out
@@ -82,7 +86,8 @@ type AbortAt struct {
 	// AbortSetup additionally aborts the hybrid setup phase.
 	AbortSetup bool
 
-	la rushedScratch
+	round int // the last round acted in
+	la    rushedScratch
 }
 
 // rushedScratch holds the rushed-lock lookahead's buffers: one pooled
@@ -93,20 +98,46 @@ type rushedScratch struct {
 	clone   sim.Party
 	pending []sim.Message
 	lanes   [2][]sim.Message
+	calls   int // clone Round calls, for tests (export_test.go)
 }
 
-var _ sim.Adversary = (*AbortAt)(nil)
+var (
+	_ sim.Adversary = (*AbortAt)(nil)
+	_ sim.Quiescent = (*AbortAt)(nil)
+)
 
 // NewAbortAt builds the strategy.
 func NewAbortAt(stopRound int, targets ...sim.PartyID) *AbortAt {
 	return &AbortAt{Static: Static{Targets: targets}, StopRound: stopRound}
 }
 
+// Reset implements sim.Adversary.
+func (a *AbortAt) Reset(ctx *sim.AdvContext) {
+	a.Static.Reset(ctx)
+	a.round = 0
+}
+
 // ObserveSetup implements sim.Adversary.
-func (a *AbortAt) ObserveSetup(map[sim.PartyID]sim.Value) bool { return a.AbortSetup }
+func (a *AbortAt) ObserveSetup([]sim.Value) bool { return a.AbortSetup }
+
+// Quiet implements sim.Quiescent: past the stop round the strategy
+// sends nothing, and once every corrupted machine is quiet it reads
+// nothing new either.
+func (a *AbortAt) Quiet() bool {
+	if a.StopRound <= 0 || a.round < a.StopRound {
+		return false
+	}
+	for _, m := range a.machines {
+		if !sim.IsQuiet(m) {
+			return false
+		}
+	}
+	return true
+}
 
 // Act implements sim.Adversary.
-func (a *AbortAt) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (a *AbortAt) Act(round int, inboxes [][]sim.Message, rushed []sim.Message) []sim.Message {
+	a.round = round
 	aborted := a.StopRound > 0 && round >= a.StopRound
 	var out []sim.Message
 	if aborted {
@@ -149,13 +180,15 @@ func (a *AbortAt) tryRushedLock(round int, rushed []sim.Message) {
 // start through last on the pending inbox, assuming every other party
 // goes silent: afterwards it receives only its own broadcasts and
 // self-addressed messages (a party always hears its own broadcast). It
-// returns the copy's final output; m itself is never disturbed.
+// returns the copy's final output, and stops early once the copy hears
+// nothing more and is quiet; m itself is never disturbed.
 func (s *rushedScratch) lookahead(m sim.Party, id sim.PartyID, start, last int) (sim.Value, bool) {
 	s.clone = copyMachine(s.clone, m)
 	inbox := s.pending
 	lane := 0
 	for r := start; r <= last; r++ {
 		out, err := s.clone.Round(r, inbox)
+		s.calls++
 		if err != nil {
 			return nil, false
 		}
@@ -167,6 +200,9 @@ func (s *rushedScratch) lookahead(m sim.Party, id sim.PartyID, start, last int) 
 			}
 		}
 		s.lanes[lane] = next
+		if len(next) == 0 && sim.IsQuiet(s.clone) {
+			break
+		}
 		inbox = next
 		lane = 1 - lane
 	}
@@ -179,7 +215,10 @@ type SetupAbort struct {
 	Static
 }
 
-var _ sim.Adversary = (*SetupAbort)(nil)
+var (
+	_ sim.Adversary = (*SetupAbort)(nil)
+	_ sim.Quiescent = (*SetupAbort)(nil)
+)
 
 // NewSetupAbort builds the strategy.
 func NewSetupAbort(targets ...sim.PartyID) *SetupAbort {
@@ -187,12 +226,15 @@ func NewSetupAbort(targets ...sim.PartyID) *SetupAbort {
 }
 
 // ObserveSetup implements sim.Adversary: always aborts.
-func (s *SetupAbort) ObserveSetup(map[sim.PartyID]sim.Value) bool { return true }
+func (s *SetupAbort) ObserveSetup([]sim.Value) bool { return true }
 
 // Act implements sim.Adversary: silent after a setup abort.
-func (s *SetupAbort) Act(int, map[sim.PartyID][]sim.Message, []sim.Message) []sim.Message {
+func (s *SetupAbort) Act(int, [][]sim.Message, []sim.Message) []sim.Message {
 	return nil
 }
+
+// Quiet implements sim.Quiescent: the strategy never sends or learns.
+func (s *SetupAbort) Quiet() bool { return true }
 
 // InputSubst wraps another strategy, additionally substituting every
 // corrupted party's input with a fixed value before the setup.
@@ -204,3 +246,6 @@ type InputSubst struct {
 
 // SubstituteInput implements sim.Adversary.
 func (i *InputSubst) SubstituteInput(sim.PartyID, sim.Value) sim.Value { return i.Value }
+
+// Quiet implements sim.Quiescent, delegating to the wrapped strategy.
+func (i *InputSubst) Quiet() bool { return sim.IsQuiet(i.Adversary) }

@@ -10,17 +10,17 @@ func mkTrace(n, t int, learned, delivered bool) *sim.Trace {
 	tr := &sim.Trace{
 		Inputs:         make([]sim.Value, n),
 		ExpectedOutput: uint64(7),
-		Corrupted:      make(map[sim.PartyID]bool),
-		HonestOutputs:  make(map[sim.PartyID]sim.OutputRecord),
+		Corrupted:      make([]bool, n),
+		HonestOutputs:  make([]sim.OutputRecord, n),
 	}
-	for i := 1; i <= t; i++ {
-		tr.Corrupted[sim.PartyID(i)] = true
+	for i := 0; i < t; i++ {
+		tr.Corrupted[i] = true
 	}
-	for i := t + 1; i <= n; i++ {
+	for i := t; i < n; i++ {
 		if delivered {
-			tr.HonestOutputs[sim.PartyID(i)] = sim.OutputRecord{Value: uint64(7), OK: true}
+			tr.HonestOutputs[i] = sim.OutputRecord{Value: uint64(7), OK: true}
 		} else {
-			tr.HonestOutputs[sim.PartyID(i)] = sim.OutputRecord{OK: false}
+			tr.HonestOutputs[i] = sim.OutputRecord{OK: false}
 		}
 	}
 	if learned {
@@ -64,7 +64,7 @@ func TestClassifyPartialDeliveryIsNotDelivery(t *testing.T) {
 	// 3 parties, 1 corrupted, one honest delivered and one aborted:
 	// counts as not-delivered (F⊥ aborts set everyone to ⊥).
 	tr := mkTrace(3, 1, true, true)
-	tr.HonestOutputs[3] = sim.OutputRecord{OK: false}
+	tr.HonestOutputs[2] = sim.OutputRecord{OK: false}
 	if oc := Classify(tr); oc.Event != E10 {
 		t.Errorf("partial delivery event = %v, want E10", oc.Event)
 	}
@@ -72,7 +72,7 @@ func TestClassifyPartialDeliveryIsNotDelivery(t *testing.T) {
 
 func TestClassifyCorrectnessViolation(t *testing.T) {
 	tr := mkTrace(2, 1, false, true)
-	tr.HonestOutputs[2] = sim.OutputRecord{Value: uint64(999), OK: true}
+	tr.HonestOutputs[1] = sim.OutputRecord{Value: uint64(999), OK: true}
 	oc := Classify(tr)
 	if !oc.CorrectnessViolation {
 		t.Error("wrong honest output not flagged")

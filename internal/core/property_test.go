@@ -23,18 +23,18 @@ func randomTrace(n, t int, learned, delivered, breach bool) *sim.Trace {
 	tr := &sim.Trace{
 		Inputs:         make([]sim.Value, n),
 		ExpectedOutput: uint64(7),
-		Corrupted:      make(map[sim.PartyID]bool),
-		HonestOutputs:  make(map[sim.PartyID]sim.OutputRecord),
+		Corrupted:      make([]bool, n),
+		HonestOutputs:  make([]sim.OutputRecord, n),
 		PrivacyBreach:  breach,
 	}
-	for i := 1; i <= t; i++ {
-		tr.Corrupted[sim.PartyID(i)] = true
+	for i := 0; i < t; i++ {
+		tr.Corrupted[i] = true
 	}
-	for i := t + 1; i <= n; i++ {
+	for i := t; i < n; i++ {
 		if delivered {
-			tr.HonestOutputs[sim.PartyID(i)] = sim.OutputRecord{Value: uint64(7), OK: true}
+			tr.HonestOutputs[i] = sim.OutputRecord{Value: uint64(7), OK: true}
 		} else {
-			tr.HonestOutputs[sim.PartyID(i)] = sim.OutputRecord{OK: false}
+			tr.HonestOutputs[i] = sim.OutputRecord{OK: false}
 		}
 	}
 	if learned {

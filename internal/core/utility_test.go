@@ -71,10 +71,10 @@ type grabber struct {
 func (g *grabber) Reset(ctx *sim.AdvContext)                            { g.ctx, g.learned, g.ok = ctx, nil, false }
 func (g *grabber) InitialCorruptions() []sim.PartyID                    { return []sim.PartyID{1} }
 func (g *grabber) SubstituteInput(_ sim.PartyID, v sim.Value) sim.Value { return v }
-func (g *grabber) ObserveSetup(map[sim.PartyID]sim.Value) bool          { return false }
+func (g *grabber) ObserveSetup([]sim.Value) bool                        { return false }
 func (g *grabber) CorruptBefore(int) []sim.PartyID                      { return nil }
 func (g *grabber) OnCorrupt(sim.PartyID, sim.Party, sim.Value)          {}
-func (g *grabber) Act(round int, _ map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (g *grabber) Act(round int, _ [][]sim.Message, rushed []sim.Message) []sim.Message {
 	if round == 1 {
 		for _, m := range rushed {
 			if v, ok := m.Payload.(uint64); ok {

@@ -147,7 +147,7 @@ func TestSetupAbortEndsBot(t *testing.T) {
 	if !tr.SetupAborted {
 		t.Fatal("setup not aborted")
 	}
-	if rec := tr.HonestOutputs[2]; rec.OK {
+	if rec := tr.HonestOutputs[1]; rec.OK {
 		t.Errorf("party 2 output %v after offline abort", rec.Value)
 	}
 }
@@ -236,7 +236,7 @@ func (s *shareFlipper) Reset(ctx *sim.AdvContext) {
 	s.Static.Reset(ctx)
 }
 
-func (s *shareFlipper) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (s *shareFlipper) Act(round int, inboxes [][]sim.Message, rushed []sim.Message) []sim.Message {
 	out := s.Static.Act(round, inboxes, rushed)
 	for i := range out {
 		if om, ok := out[i].Payload.(outMsg); ok {

@@ -174,7 +174,7 @@ func (c *coinCheater) Reset(ctx *sim.AdvContext) {
 	c.Static.Reset(ctx)
 }
 
-func (c *coinCheater) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (c *coinCheater) Act(round int, inboxes [][]sim.Message, rushed []sim.Message) []sim.Message {
 	out := c.Static.Act(round, inboxes, rushed)
 	if round != 2 {
 		return out

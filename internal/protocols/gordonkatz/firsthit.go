@@ -34,6 +34,7 @@ type FirstHit struct {
 var (
 	_ sim.Adversary       = (*FirstHit)(nil)
 	_ sim.AdversaryCloner = (*FirstHit)(nil)
+	_ sim.Quiescent       = (*FirstHit)(nil)
 )
 
 // NewFirstHit corrupts target.
@@ -56,7 +57,7 @@ func (f *FirstHit) InitialCorruptions() []sim.PartyID { return []sim.PartyID{f.t
 func (f *FirstHit) SubstituteInput(_ sim.PartyID, orig sim.Value) sim.Value { return orig }
 
 // ObserveSetup implements sim.Adversary.
-func (f *FirstHit) ObserveSetup(map[sim.PartyID]sim.Value) bool { return false }
+func (f *FirstHit) ObserveSetup([]sim.Value) bool { return false }
 
 // CorruptBefore implements sim.Adversary.
 func (f *FirstHit) CorruptBefore(int) []sim.PartyID { return nil }
@@ -71,11 +72,11 @@ func (f *FirstHit) OnCorrupt(_ sim.PartyID, m sim.Party, _ sim.Value) {
 // Act implements sim.Adversary: honest execution with a value check after
 // every reconstruction; on a hit, the current round's messages are
 // withheld.
-func (f *FirstHit) Act(round int, inboxes map[sim.PartyID][]sim.Message, _ []sim.Message) []sim.Message {
-	if f.aborted || f.machine == nil {
+func (f *FirstHit) Act(round int, inboxes [][]sim.Message, _ []sim.Message) []sim.Message {
+	if f.Quiet() {
 		return nil
 	}
-	out, err := f.machine.Round(round, inboxes[f.target])
+	out, err := f.machine.Round(round, inboxes[f.target-1])
 	if err != nil {
 		return nil
 	}
@@ -92,3 +93,7 @@ func (f *FirstHit) Act(round int, inboxes map[sim.PartyID][]sim.Message, _ []sim
 
 // Learned implements sim.Adversary.
 func (f *FirstHit) Learned() (sim.Value, bool) { return f.learned, f.learnedOK }
+
+// Quiet implements sim.Quiescent: once aborted, or without a machine to
+// run, the attacker sends and learns nothing more.
+func (f *FirstHit) Quiet() bool { return f.aborted || f.machine == nil }

@@ -274,6 +274,7 @@ type gkParty struct {
 var (
 	_ sim.ReusableParty = (*gkParty)(nil)
 	_ sim.PartyCopier   = (*gkParty)(nil)
+	_ sim.Quiescent     = (*gkParty)(nil)
 )
 
 // init configures the machine for a run of p. It draws exactly what
@@ -458,6 +459,10 @@ func (m *gkParty) Clone() sim.Party {
 	return &cp
 }
 
+// Quiet implements sim.Quiescent: a machine that has finished or
+// aborted sends nothing more and keeps its value and iteration.
+func (m *gkParty) Quiet() bool { return m.done }
+
 // AuditInfo implements sim.AuditedParty: the last reconstructed
 // iteration.
 func (m *gkParty) AuditInfo() sim.Value { return m.lastIter }
@@ -494,10 +499,10 @@ func (p Protocol) AuditOutcome(tr *sim.Trace) sim.OutcomeAudit {
 	}
 	out := sim.OutcomeAudit{}
 	honest := sim.PartyID(2)
-	if tr.Corrupted[2] {
+	if tr.Corrupted[1] {
 		honest = 1
 	}
-	last, _ := tr.HonestAudits[honest].(int)
+	last, _ := tr.HonestAudits[honest-1].(int)
 	if honest == 2 {
 		// Corrupted p1 saw a_{last+1}.
 		out.Learned = last+1 >= audit.IStar
@@ -521,8 +526,8 @@ func (p Protocol) AuditOutcome(tr *sim.Trace) sim.OutcomeAudit {
 
 // allOK reports whether every honest party produced a non-⊥ output.
 func allOK(tr *sim.Trace) bool {
-	for _, rec := range tr.HonestOutputs {
-		if !rec.OK {
+	for i, rec := range tr.HonestOutputs {
+		if !tr.Corrupted[i] && !rec.OK {
 			return false
 		}
 	}

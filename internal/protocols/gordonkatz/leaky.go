@@ -109,6 +109,7 @@ type pitildeParty struct {
 var (
 	_ sim.ReusableParty = (*pitildeParty)(nil)
 	_ sim.PartyCopier   = (*pitildeParty)(nil)
+	_ sim.Quiescent     = (*pitildeParty)(nil)
 )
 
 // init configures the machine for a run of Π̃ embedding gk. It draws
@@ -194,6 +195,10 @@ func (m *pitildeParty) Round(round int, inbox []sim.Message) ([]sim.Message, err
 
 func (m *pitildeParty) Output() (sim.Value, bool) { return m.inner.Output() }
 
+// Quiet implements sim.Quiescent: the leak phase is over once the
+// embedded machine runs, so Π̃'s machine is quiet when that one is.
+func (m *pitildeParty) Quiet() bool { return m.inner.Quiet() }
+
 // AuditInfo implements sim.AuditedParty, forwarding the embedded
 // machine's iteration counter.
 func (m *pitildeParty) AuditInfo() sim.Value { return m.inner.AuditInfo() }
@@ -244,7 +249,7 @@ func (l *LeakExtractor) InitialCorruptions() []sim.PartyID { return []sim.PartyI
 func (l *LeakExtractor) SubstituteInput(_ sim.PartyID, orig sim.Value) sim.Value { return orig }
 
 // ObserveSetup implements sim.Adversary.
-func (l *LeakExtractor) ObserveSetup(map[sim.PartyID]sim.Value) bool { return false }
+func (l *LeakExtractor) ObserveSetup([]sim.Value) bool { return false }
 
 // CorruptBefore implements sim.Adversary.
 func (l *LeakExtractor) CorruptBefore(int) []sim.PartyID { return nil }
@@ -253,9 +258,9 @@ func (l *LeakExtractor) CorruptBefore(int) []sim.PartyID { return nil }
 func (l *LeakExtractor) OnCorrupt(_ sim.PartyID, m sim.Party, _ sim.Value) { l.machine = m }
 
 // Act implements sim.Adversary.
-func (l *LeakExtractor) Act(round int, inboxes map[sim.PartyID][]sim.Message, _ []sim.Message) []sim.Message {
+func (l *LeakExtractor) Act(round int, inboxes [][]sim.Message, _ []sim.Message) []sim.Message {
 	// Watch for the leaked input.
-	for _, msg := range inboxes[2] {
+	for _, msg := range inboxes[1] {
 		if lm, ok := asLeakMsg(msg.Payload); ok && lm.HasInput {
 			l.extracted, l.hasInput = lm.Input, true
 		}
@@ -268,7 +273,7 @@ func (l *LeakExtractor) Act(round int, inboxes map[sim.PartyID][]sim.Message, _ 
 	if l.machine == nil {
 		return nil
 	}
-	out, err := l.machine.Round(round, inboxes[2])
+	out, err := l.machine.Round(round, inboxes[1])
 	if err != nil {
 		return nil
 	}

@@ -316,7 +316,7 @@ func (m MultiParty) AuditOutcome(tr *sim.Trace) sim.OutcomeAudit {
 		return sim.OutcomeAudit{Learned: true, LearnedValue: tr.HybridOutput, Delivered: true}
 	}
 	last := 0
-	for _, v := range tr.HonestAudits {
+	for _, v := range tr.HonestAudits { // corrupted parties' entries are nil
 		if li, ok := v.(int); ok && li > last {
 			last = li
 		}

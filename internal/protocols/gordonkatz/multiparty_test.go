@@ -199,7 +199,7 @@ func (a *mpTamperer) Reset(ctx *sim.AdvContext) {
 	a.Static.Reset(ctx)
 }
 
-func (a *mpTamperer) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (a *mpTamperer) Act(round int, inboxes [][]sim.Message, rushed []sim.Message) []sim.Message {
 	out := a.Static.Act(round, inboxes, rushed)
 	for i := range out {
 		if sm, ok := out[i].Payload.(mpShareMsg); ok {

@@ -28,7 +28,7 @@ func (c *chaser) Reset(ctx *sim.AdvContext) {
 }
 func (c *chaser) InitialCorruptions() []sim.PartyID                    { return nil }
 func (c *chaser) SubstituteInput(_ sim.PartyID, v sim.Value) sim.Value { return v }
-func (c *chaser) ObserveSetup(map[sim.PartyID]sim.Value) bool          { return false }
+func (c *chaser) ObserveSetup([]sim.Value) bool                        { return false }
 
 func (c *chaser) CorruptBefore(round int) []sim.PartyID {
 	if round == 2 && c.target != 0 {
@@ -43,7 +43,7 @@ func (c *chaser) OnCorrupt(_ sim.PartyID, _ sim.Party, setupOut sim.Value) {
 	}
 }
 
-func (c *chaser) Act(_ int, _ map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (c *chaser) Act(_ int, _ [][]sim.Message, rushed []sim.Message) []sim.Message {
 	for _, m := range rushed {
 		if om, ok := m.Payload.(outMsg); ok && om.HasOutput && c.target == 0 {
 			c.target = m.From // found the holder — corrupt it next round

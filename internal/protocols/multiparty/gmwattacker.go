@@ -1,6 +1,8 @@
 package multiparty
 
 import (
+	"slices"
+
 	"repro/internal/crypto/mac"
 	"repro/internal/crypto/share"
 	"repro/internal/sim"
@@ -16,7 +18,7 @@ import (
 // strategy simply plays honestly (E11).
 type GMWSetupAttacker struct {
 	targets   []sim.PartyID
-	machines  map[sim.PartyID]sim.Party
+	machines  []sim.Party // index id-1
 	learned   sim.Value
 	learnedOK bool
 }
@@ -37,8 +39,8 @@ func (a *GMWSetupAttacker) CloneAdversary() sim.Adversary {
 }
 
 // Reset implements sim.Adversary.
-func (a *GMWSetupAttacker) Reset(*sim.AdvContext) {
-	a.machines = make(map[sim.PartyID]sim.Party)
+func (a *GMWSetupAttacker) Reset(ctx *sim.AdvContext) {
+	a.machines = make([]sim.Party, ctx.Protocol.NumParties())
 	a.learned, a.learnedOK = nil, false
 }
 
@@ -49,14 +51,17 @@ func (a *GMWSetupAttacker) InitialCorruptions() []sim.PartyID { return a.targets
 func (a *GMWSetupAttacker) SubstituteInput(_ sim.PartyID, orig sim.Value) sim.Value { return orig }
 
 // ObserveSetup implements sim.Adversary: reconstruct from the coalition's
-// shares if they reach the threshold, then abort the setup. (The engine
-// consults the protocol's SetupAbortPolicy, so the abort only takes
-// effect once the honest majority is actually lost.)
-func (a *GMWSetupAttacker) ObserveSetup(outputs map[sim.PartyID]sim.Value) bool {
+// shares, read in id order, if they reach the threshold, then abort the
+// setup. (The engine consults the protocol's SetupAbortPolicy, so the
+// abort only takes effect once the honest majority is actually lost.)
+func (a *GMWSetupAttacker) ObserveSetup(outputs []sim.Value) bool {
 	var announced []share.VerifiableShare
 	var key mac.ByteKey
 	threshold := 0
-	for _, v := range outputs {
+	for i, v := range outputs {
+		if !slices.Contains(a.targets, sim.PartyID(i+1)) {
+			continue
+		}
 		so, ok := v.(gmwSetupOut)
 		if !ok {
 			return false // not Π_GMW^{1/2}: do nothing
@@ -81,23 +86,23 @@ func (a *GMWSetupAttacker) CorruptBefore(int) []sim.PartyID { return nil }
 // OnCorrupt implements sim.Adversary.
 func (a *GMWSetupAttacker) OnCorrupt(id sim.PartyID, m sim.Party, _ sim.Value) {
 	if m != nil {
-		a.machines[id] = m
+		a.machines[id-1] = m
 	}
 }
 
 // Act implements sim.Adversary: silent after a successful setup attack,
 // honest otherwise.
-func (a *GMWSetupAttacker) Act(round int, inboxes map[sim.PartyID][]sim.Message, _ []sim.Message) []sim.Message {
+func (a *GMWSetupAttacker) Act(round int, inboxes [][]sim.Message, _ []sim.Message) []sim.Message {
 	if a.learnedOK {
 		return nil
 	}
 	var out []sim.Message
 	for _, id := range a.targets {
-		m := a.machines[id]
+		m := a.machines[id-1]
 		if m == nil {
 			continue
 		}
-		msgs, err := m.Round(round, inboxes[id])
+		msgs, err := m.Round(round, inboxes[id-1])
 		if err != nil {
 			continue
 		}

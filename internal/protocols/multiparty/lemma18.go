@@ -197,7 +197,7 @@ func (a *Lemma18Attacker) InitialCorruptions() []sim.PartyID { return []sim.Part
 func (a *Lemma18Attacker) SubstituteInput(_ sim.PartyID, orig sim.Value) sim.Value { return orig }
 
 // ObserveSetup implements sim.Adversary: never aborts the hybrid.
-func (a *Lemma18Attacker) ObserveSetup(map[sim.PartyID]sim.Value) bool { return false }
+func (a *Lemma18Attacker) ObserveSetup([]sim.Value) bool { return false }
 
 // CorruptBefore implements sim.Adversary.
 func (a *Lemma18Attacker) CorruptBefore(int) []sim.PartyID { return nil }
@@ -210,7 +210,7 @@ func (a *Lemma18Attacker) OnCorrupt(_ sim.PartyID, _ sim.Party, setupOut sim.Val
 }
 
 // Act implements sim.Adversary.
-func (a *Lemma18Attacker) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (a *Lemma18Attacker) Act(round int, inboxes [][]sim.Message, rushed []sim.Message) []sim.Message {
 	if a.hasSetup && a.setupOut.HasOutput {
 		// Corrupted the holder: learn and abort immediately.
 		a.learned, a.learnedOK = a.setupOut.Y, true
@@ -228,7 +228,7 @@ func (a *Lemma18Attacker) Act(round int, inboxes map[sim.PartyID][]sim.Message, 
 		return msgs
 	}
 	// Watch for the (direct or broadcast) output delivery.
-	for _, msg := range append(append([]sim.Message(nil), inboxes[a.target]...), rushed...) {
+	for _, msg := range append(append([]sim.Message(nil), inboxes[a.target-1]...), rushed...) {
 		if om, ok := msg.Payload.(outMsg); ok && om.HasOutput {
 			a.learned, a.learnedOK = om.Y, true
 		}

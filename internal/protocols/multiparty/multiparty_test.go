@@ -383,7 +383,7 @@ func (f *forger) Reset(ctx *sim.AdvContext) {
 	f.Static.Reset(ctx)
 }
 
-func (f *forger) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (f *forger) Act(round int, inboxes [][]sim.Message, rushed []sim.Message) []sim.Message {
 	out := f.Static.Act(round, inboxes, rushed)
 	return append(out, sim.Message{From: 1, To: sim.Broadcast,
 		Payload: outMsg{HasOutput: true, Y: 424242, Sigma: []byte("forged")}})

@@ -52,7 +52,7 @@ func TestOneRoundSetupAbortDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Swap().Eval(7, Swap().Default2)
-	if rec := tr.HonestOutputs[1]; !rec.OK || !sim.ValuesEqual(rec.Value, want) {
+	if rec := tr.HonestOutputs[0]; !rec.OK || !sim.ValuesEqual(rec.Value, want) {
 		t.Errorf("p1 output %+v, want defaulted %v", rec, want)
 	}
 	if oc := core.Classify(tr); oc.Event != core.E01 {
@@ -67,7 +67,7 @@ func TestOneRoundGarbageShareYieldsBot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := tr.HonestOutputs[1]; rec.OK {
+	if rec := tr.HonestOutputs[0]; rec.OK {
 		t.Errorf("garbage share accepted: %+v", rec)
 	}
 }
@@ -79,7 +79,7 @@ func (g *oneRoundGarbage) Reset(ctx *sim.AdvContext) {
 	g.Static.Reset(ctx)
 }
 
-func (g *oneRoundGarbage) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (g *oneRoundGarbage) Act(round int, inboxes [][]sim.Message, rushed []sim.Message) []sim.Message {
 	out := g.Static.Act(round, inboxes, rushed)
 	for i := range out {
 		out[i].Payload = "junk"

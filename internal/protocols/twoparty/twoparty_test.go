@@ -57,7 +57,7 @@ func TestSetupAbortFallsBackToDefaults(t *testing.T) {
 	}
 	// Honest p1 computes f(7, default2) locally.
 	want := Swap().Eval(7, Swap().Default2)
-	rec := tr.HonestOutputs[1]
+	rec := tr.HonestOutputs[0]
 	if !rec.OK || !sim.ValuesEqual(rec.Value, want) {
 		t.Errorf("p1 output %+v, want %v", rec, want)
 	}
@@ -163,7 +163,7 @@ func TestInvalidShareTriggersFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Swap().Eval(5, Swap().Default2)
-	rec := tr.HonestOutputs[1]
+	rec := tr.HonestOutputs[0]
 	if !rec.OK || !sim.ValuesEqual(rec.Value, want) {
 		t.Errorf("p1 output %+v, want defaulted %v", rec, want)
 	}
@@ -182,7 +182,7 @@ func (gs *garbageSender) Reset(ctx *sim.AdvContext) {
 	gs.Static.Reset(ctx)
 }
 
-func (gs *garbageSender) Act(round int, inboxes map[sim.PartyID][]sim.Message, rushed []sim.Message) []sim.Message {
+func (gs *garbageSender) Act(round int, inboxes [][]sim.Message, rushed []sim.Message) []sim.Message {
 	out := gs.Static.Act(round, inboxes, rushed)
 	if round == 1 {
 		for i := range out {

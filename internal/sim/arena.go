@@ -2,16 +2,20 @@ package sim
 
 // Arena replays many runs of one protocol on a single reused Execution:
 // the run engine of the Monte-Carlo estimator and of Run. An Arena
-// resets the same Execution for every run — trace maps are cleared,
-// inbox lanes and scratch buffers truncated (keeping their capacity),
-// and the RNG streams reseeded in place, each computing only the values
-// the run draws (see Execution.reset and rng.SlabSource) — so the
-// steady-state cost of a run is the protocol's own work.
+// resets the same Execution for every run — the trace's per-party
+// slices are cleared, inbox lanes and scratch buffers truncated
+// (keeping their capacity), and the RNG streams reseeded in place, each
+// computing only the values the run draws (see Execution.reset and
+// rng.SlabSource) — so the steady-state cost of a run is the protocol's
+// own work. A run ends early once nothing can change it (see
+// Quiescent), so its cost stops at the last live round.
 //
 // Determinism: Arena.Run produces a trace reflect.DeepEqual-identical
 // to Run(proto, inputs, adv, seed) for every (inputs, adv, seed),
 // regardless of what ran on the arena before (pinned by
-// TestArenaMatchesRun).
+// TestArenaMatchesRun); its trace and observer events equal those of a
+// hand-stepped Execution, which steps every round (pinned by
+// TestArenaSkipMatchesSteppedRun).
 //
 // The returned *Trace and everything it references — and the AdvContext
 // handed to the adversary, and any inbox slices shown to it — are
@@ -42,9 +46,13 @@ func (a *Arena) Run(inputs []Value, adv Adversary, seed int64, obs ...Observer) 
 	if err := e.SetupPhase(); err != nil {
 		return nil, err
 	}
-	for r := 1; r <= e.TotalRounds(); r++ {
+	for r := 1; r <= e.totalRounds; r++ {
 		if err := e.Step(r); err != nil {
 			return nil, err
+		}
+		if r < e.totalRounds && e.quiet() {
+			e.skipRest()
+			break
 		}
 	}
 	return e.Finalize()

@@ -53,11 +53,11 @@ const (
 // the rounds that read its outputs (Gordon–Katz deals each iteration's
 // sharings the first time a machine reads them).
 //
-// Every per-run allocation (trace maps, inbox lanes, RNG streams, the
-// adversary context, scratch buffers) lives on the Execution and is
-// reinitialized in place by reset, so an Arena can replay millions of
-// runs on one Execution without reallocating; a one-shot Execution pays
-// each allocation exactly once, as before.
+// Every per-run allocation (the trace's per-party slices, inbox lanes,
+// RNG streams, the adversary context, scratch buffers) lives on the
+// Execution and is reinitialized in place by reset, so an Arena can
+// replay millions of runs on one Execution without reallocating; a
+// one-shot Execution pays each allocation exactly once, as before.
 type Execution struct {
 	proto Protocol
 	adv   Adversary
@@ -84,32 +84,38 @@ type Execution struct {
 	totalRounds int
 	state       execState
 	nextRound   int
+	// silent records that nobody sent a message in the last round
+	// stepped, so the next round's inboxes are all empty.
+	silent bool
 
-	// corrupted mirrors trace.Corrupted as an ascending id list and
-	// isCorrupt as a per-party flag (index id-1), so the per-round loops
-	// never range or probe the map; setupCorrupted is len(corrupted)
-	// when the setup phase ended. trueOut is f on the environment's
-	// inputs, reused for trace outputs on the same inputs.
+	// isCorrupt flags the corrupted parties (index id-1) and is the
+	// trace's Corrupted slice; corrupted lists the same set as
+	// ascending ids for the per-run loops. setupCorrupted is
+	// len(corrupted) when the setup phase ended. trueOut is f on the
+	// environment's inputs, reused for trace outputs on the same inputs.
 	corrupted      []PartyID
 	isCorrupt      []bool
 	setupCorrupted int
 	trueOut        Value
 
+	// work counts rounds stepped and honest-machine Round calls over
+	// the execution's lifetime (read by tests through export_test.go).
+	work struct{ rounds, honestCalls int }
+
 	// Reusable per-run state. traceStore backs trace; the buffers below
 	// are truncated/cleared by reset, never freed, so their capacity
 	// survives across arena runs.
-	traceStore     Trace
-	auditStore     OutcomeAudit // backs trace.Audit
-	advCtx         AdvContext
-	spare          [][]Message // next-round lanes, swapped with inboxes
-	honestOut      []Message
-	rushed         []Message
-	corruptSetup   map[PartyID]Value
-	corruptInboxes map[PartyID][]Message
-	effectiveBuf   []Value
-	setupDefaults  []Value
-	finalDefaults  []Value
-	ctxInputs      []Value
+	traceStore    Trace
+	auditStore    OutcomeAudit // backs trace.Audit
+	advCtx        AdvContext
+	spare         [][]Message // next-round lanes, swapped with inboxes
+	honestOut     []Message
+	rushed        []Message
+	corruptSetup  []Value // the adversary's view of the setup outputs
+	effectiveBuf  []Value
+	setupDefaults []Value
+	finalDefaults []Value
+	ctxInputs     []Value
 }
 
 // newExecutionShell builds an Execution skeleton bound to a protocol but
@@ -117,25 +123,33 @@ type Execution struct {
 func newExecutionShell(proto Protocol) *Execution {
 	n := proto.NumParties()
 	e := &Execution{
-		proto:       proto,
-		protoName:   proto.Name(),
-		n:           n,
-		totalRounds: proto.NumRounds() + 1, // +1 finalize call
-		machines:    make([]Party, n),
-		partyRNGs:   make([]*rand.Rand, n),
-		partySeeds:  make([]int64, n),
-		master:      rand.New(new(rng.SlabSource)),
-		protoRNG:    rand.New(new(rng.SlabSource)),
-		advRNG:      rand.New(new(rng.SlabSource)),
+		proto:        proto,
+		protoName:    proto.Name(),
+		n:            n,
+		totalRounds:  proto.NumRounds() + 1, // +1 finalize call
+		machines:     make([]Party, n),
+		partyRNGs:    make([]*rand.Rand, n),
+		partySeeds:   make([]int64, n),
+		master:       rand.New(new(rng.SlabSource)),
+		protoRNG:     rand.New(new(rng.SlabSource)),
+		advRNG:       rand.New(new(rng.SlabSource)),
+		corrupted:    make([]PartyID, 0, n),
+		isCorrupt:    make([]bool, n),
+		inboxes:      make([][]Message, n),
+		spare:        make([][]Message, n),
+		corruptSetup: make([]Value, n),
 	}
+	e.traceStore.Corrupted = e.isCorrupt
+	e.traceStore.HonestOutputs = make([]OutputRecord, n)
+	e.traceStore.HonestAudits = make([]Value, n)
 	if sp, ok := proto.(ScratchSetupProtocol); ok {
 		e.setupFn = sp.NewSetupScratch()
 	}
 	return e
 }
 
-// reset (re)initializes the execution for one run, reusing every buffer,
-// map, and RNG stream the previous run left behind. The master-stream
+// reset (re)initializes the execution for one run, reusing every buffer
+// and RNG stream the previous run left behind. The master-stream
 // draw order is the engine's determinism contract — protocol stream,
 // adversary stream, then one seed per party — and matches the classic
 // Run exactly, so a reused execution reproduces a fresh one bit for bit.
@@ -157,22 +171,12 @@ func (e *Execution) reset(inputs []Value, adv Adversary, seed int64, obs []Obser
 	e.setupOuts = nil
 	e.state = execCreated
 	e.nextRound = 0
-	if e.isCorrupt == nil {
-		e.corrupted = make([]PartyID, 0, e.n)
-		e.isCorrupt = make([]bool, e.n)
-	} else {
-		e.corrupted = e.corrupted[:0]
-		clear(e.isCorrupt)
-	}
+	e.corrupted = e.corrupted[:0]
+	clear(e.isCorrupt)
 	e.setupCorrupted = 0
-	if e.inboxes == nil {
-		e.inboxes = make([][]Message, e.n)
-		e.spare = make([][]Message, e.n)
-	} else {
-		for i := range e.inboxes {
-			e.inboxes[i] = e.inboxes[i][:0]
-			e.spare[i] = e.spare[i][:0]
-		}
+	for i := range e.inboxes {
+		e.inboxes[i] = e.inboxes[i][:0]
+		e.spare[i] = e.spare[i][:0]
 	}
 
 	tr := &e.traceStore
@@ -185,28 +189,9 @@ func (e *Execution) reset(inputs []Value, adv Adversary, seed int64, obs []Obser
 	tr.HybridOutput = nil
 	tr.SetupAudit = nil
 	tr.Audit = nil
-	if tr.HonestAudits == nil {
-		tr.HonestAudits = make(map[PartyID]Value)
-	} else if len(tr.HonestAudits) > 0 {
-		clear(tr.HonestAudits)
-	}
+	clear(tr.HonestOutputs)
+	clear(tr.HonestAudits)
 	tr.SetupAborted = false
-	if tr.Corrupted == nil {
-		tr.Corrupted = make(map[PartyID]bool)
-	} else if len(tr.Corrupted) > 0 {
-		clear(tr.Corrupted)
-	}
-	// The adversary's inbox map is keyed by the corrupted set, which
-	// only grows within a run: Step reassigns it every round and reset
-	// empties it once per run.
-	if len(e.corruptInboxes) > 0 {
-		clear(e.corruptInboxes)
-	}
-	if tr.HonestOutputs == nil {
-		tr.HonestOutputs = make(map[PartyID]OutputRecord)
-	} else {
-		clear(tr.HonestOutputs)
-	}
 	tr.AdvLearned = false
 	tr.AdvValue = nil
 	tr.PrivacyBreach = false
@@ -248,7 +233,6 @@ func (e *Execution) markCorrupted(id PartyID) bool {
 		return false
 	}
 	e.isCorrupt[id-1] = true
-	e.trace.Corrupted[id] = true
 	i, _ := slices.BinarySearch(e.corrupted, id)
 	e.corrupted = slices.Insert(e.corrupted, i, id)
 	return true
@@ -342,19 +326,18 @@ func (e *Execution) SetupPhase() error {
 		setupOuts = setupOuts[:n]
 	}
 	e.setupOuts = setupOuts
-	if e.corruptSetup == nil {
-		e.corruptSetup = make(map[PartyID]Value)
-	} else if len(e.corruptSetup) > 0 {
-		clear(e.corruptSetup)
-	}
-	for _, id := range e.corrupted {
-		e.corruptSetup[id] = e.setupOutOf(id)
-	}
 	// A setup abort is only meaningful with at least one corruption, and
 	// the protocol's hybrid may be robust against small coalitions.
-	abortRequested := len(tr.Corrupted) > 0 && e.adv.ObserveSetup(e.corruptSetup)
-	if policy, ok := e.proto.(SetupAbortPolicy); ok && abortRequested {
-		abortRequested = policy.SetupAbortable(len(tr.Corrupted))
+	abortRequested := false
+	if t := len(e.corrupted); t > 0 {
+		clear(e.corruptSetup)
+		for _, id := range e.corrupted {
+			e.corruptSetup[id-1] = e.setupOutOf(id)
+		}
+		abortRequested = e.adv.ObserveSetup(e.corruptSetup)
+		if policy, ok := e.proto.(SetupAbortPolicy); ok && abortRequested {
+			abortRequested = policy.SetupAbortable(t)
+		}
 	}
 	tr.SetupAborted = abortRequested
 	// f on the effective inputs; without a substitution that is the
@@ -448,7 +431,9 @@ func (e *Execution) Step(round int) error {
 		}
 	}
 
-	// Honest parties move first.
+	// Honest parties move first. Each honest lane is emptied once its
+	// machine has read it, so the lanes the adversary sees below hold
+	// only the corrupted parties' inboxes.
 	honestOut := e.honestOut[:0]
 	rushed := e.rushed[:0]
 	for i, m := range e.machines {
@@ -457,6 +442,8 @@ func (e *Execution) Step(round int) error {
 		}
 		id := PartyID(i + 1)
 		out, err := m.Round(r, e.inboxes[i])
+		e.inboxes[i] = e.inboxes[i][:0]
+		e.work.honestCalls++
 		if err != nil {
 			return fmt.Errorf("sim: party %d round %d: %w", id, r, err)
 		}
@@ -475,15 +462,8 @@ func (e *Execution) Step(round int) error {
 
 	// Rushing adversary acts, with the corrupted parties' delivered
 	// inboxes and the rushed view of this round's honest messages. The
-	// map and slices are engine scratch, read-only and valid only
-	// during Act.
-	if e.corruptInboxes == nil {
-		e.corruptInboxes = make(map[PartyID][]Message)
-	}
-	for _, id := range e.corrupted {
-		e.corruptInboxes[id] = e.inboxes[id-1]
-	}
-	advOut := e.adv.Act(r, e.corruptInboxes, rushed)
+	// slices are engine scratch, read-only and valid only during Act.
+	advOut := e.adv.Act(r, e.inboxes, rushed)
 	for i := range advOut {
 		if !e.corruptedID(advOut[i].From) {
 			return fmt.Errorf("sim: adversary sent as honest party %d", advOut[i].From)
@@ -516,12 +496,60 @@ func (e *Execution) Step(round int) error {
 		old[i] = old[i][:0]
 	}
 	e.spare = old
+	e.silent = len(honestOut) == 0 && len(advOut) == 0
+	e.work.rounds++
 	tr.RoundsRun = r
 	for _, o := range e.obs {
 		o.RoundEnded(r)
 	}
 	e.nextRound++
 	return nil
+}
+
+// quiet reports whether the run can change no more: nobody sent a
+// message in the last round stepped, and the strategy and every honest
+// machine are quiet (see Quiescent).
+func (e *Execution) quiet() bool {
+	if !e.silent || !IsQuiet(e.adv) {
+		return false
+	}
+	for i, m := range e.machines {
+		if !e.isCorrupt[i] && !IsQuiet(m) {
+			return false
+		}
+	}
+	return true
+}
+
+// skipRest ends a quiet run without stepping its remaining rounds: each
+// of them would deliver, send and change nothing, so an observer sees
+// only their RoundStarted and RoundEnded events, as a stepped run emits
+// them. A *Metrics, whose only count of them is Rounds, takes all of
+// them in one addition.
+func (e *Execution) skipRest() {
+	first := e.nextRound
+	e.nextRound = e.totalRounds + 1
+	e.trace.RoundsRun = e.totalRounds
+	others := false
+	for _, o := range e.obs {
+		if m, ok := o.(*Metrics); ok {
+			m.Rounds += int64(e.nextRound - first)
+		} else {
+			others = true
+		}
+	}
+	for r := first; others && r < e.nextRound; r++ {
+		for _, o := range e.obs {
+			if _, ok := o.(*Metrics); !ok {
+				o.RoundStarted(r)
+			}
+		}
+		for _, o := range e.obs {
+			if _, ok := o.(*Metrics); !ok {
+				o.RoundEnded(r)
+			}
+		}
+	}
 }
 
 // Finalize collects honest outputs and audit data, verifies the
@@ -564,9 +592,9 @@ func (e *Execution) Finalize() (*Trace, error) {
 		id := PartyID(i + 1)
 		v, ok := m.Output()
 		rec := OutputRecord{Value: v, OK: ok}
-		tr.HonestOutputs[id] = rec
+		tr.HonestOutputs[i] = rec
 		if ap, ok := m.(AuditedParty); ok {
-			tr.HonestAudits[id] = ap.AuditInfo()
+			tr.HonestAudits[i] = ap.AuditInfo()
 		}
 		for _, o := range e.obs {
 			o.OutputProduced(id, rec)

@@ -5,6 +5,9 @@ package sim_test
 // every protocol × adversary pair the experiment harness exercises.
 // legacyRun below is a line-for-line copy of the seed's sim.Run (built
 // on the exported API only), frozen here as the behavioral contract.
+// It keeps the seed's per-party maps and converts them to the
+// party-indexed form only where it calls the strategy and where it
+// returns the trace.
 
 import (
 	"fmt"
@@ -24,7 +27,9 @@ import (
 )
 
 // legacyRun is the seed engine's Run, verbatim modulo exported-name
-// qualification. Do not modify it: it is the parity reference.
+// qualification and the conversions legacySlice makes for the strategy
+// and the trace. Do not modify it otherwise: it is the parity
+// reference.
 func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed int64) (*sim.Trace, error) {
 	n := proto.NumParties()
 	if len(inputs) != n {
@@ -39,11 +44,11 @@ func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed i
 	}
 
 	trace := &sim.Trace{
-		ProtocolName:  proto.Name(),
-		Inputs:        append([]sim.Value(nil), inputs...),
-		Corrupted:     make(map[sim.PartyID]bool),
-		HonestOutputs: make(map[sim.PartyID]sim.OutputRecord),
+		ProtocolName: proto.Name(),
+		Inputs:       append([]sim.Value(nil), inputs...),
 	}
+	corrupted := make(map[sim.PartyID]bool)
+	honestOutputs := make(map[sim.PartyID]sim.OutputRecord)
 
 	adv.Reset(&sim.AdvContext{
 		Protocol:   proto,
@@ -56,10 +61,10 @@ func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed i
 		if id < 1 || sim.PartyID(n) < id {
 			return nil, fmt.Errorf("%w: %d", sim.ErrBadParty, id)
 		}
-		trace.Corrupted[id] = true
+		corrupted[id] = true
 	}
 	effective := append([]sim.Value(nil), inputs...)
-	for id := range trace.Corrupted {
+	for id := range corrupted {
 		effective[id-1] = adv.SubstituteInput(id, inputs[id-1])
 	}
 	trace.EffectiveInputs = effective
@@ -82,19 +87,19 @@ func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed i
 		return setupOuts[id-1]
 	}
 	corruptedSetup := make(map[sim.PartyID]sim.Value)
-	for id := range trace.Corrupted {
+	for id := range corrupted {
 		corruptedSetup[id] = setupOutOf(id)
 	}
-	abortRequested := len(trace.Corrupted) > 0 && adv.ObserveSetup(corruptedSetup)
+	abortRequested := len(corrupted) > 0 && adv.ObserveSetup(legacySlice(n, corruptedSetup))
 	if policy, ok := proto.(sim.SetupAbortPolicy); ok && abortRequested {
-		abortRequested = policy.SetupAbortable(len(trace.Corrupted))
+		abortRequested = policy.SetupAbortable(len(corrupted))
 	}
 	trace.SetupAborted = abortRequested
 	trace.HybridOutput = proto.Func(effective)
 
 	if trace.SetupAborted {
 		withDefaults := append([]sim.Value(nil), inputs...)
-		for id := range trace.Corrupted {
+		for id := range corrupted {
 			withDefaults[id-1] = proto.DefaultInput(id)
 		}
 		trace.ExpectedOutput = proto.Func(withDefaults)
@@ -112,7 +117,7 @@ func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed i
 		}
 		machines[i] = m
 	}
-	for id := range trace.Corrupted {
+	for id := range corrupted {
 		adv.OnCorrupt(id, machines[id-1], setupOutOf(id))
 	}
 
@@ -123,10 +128,10 @@ func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed i
 			if id < 1 || sim.PartyID(n) < id {
 				return nil, fmt.Errorf("%w: %d", sim.ErrBadParty, id)
 			}
-			if trace.Corrupted[id] {
+			if corrupted[id] {
 				continue
 			}
-			trace.Corrupted[id] = true
+			corrupted[id] = true
 			adv.OnCorrupt(id, machines[id-1], setupOutOf(id))
 		}
 
@@ -134,7 +139,7 @@ func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed i
 		var rushed []sim.Message
 		for i := 0; i < n; i++ {
 			id := sim.PartyID(i + 1)
-			if trace.Corrupted[id] {
+			if corrupted[id] {
 				continue
 			}
 			out, err := machines[i].Round(r, inboxes[i])
@@ -144,19 +149,19 @@ func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed i
 			for _, m := range out {
 				m.From = id
 				honestOut = append(honestOut, m)
-				if m.To == sim.Broadcast || trace.Corrupted[m.To] {
+				if m.To == sim.Broadcast || corrupted[m.To] {
 					rushed = append(rushed, m)
 				}
 			}
 		}
 
-		corruptInboxes := make(map[sim.PartyID][]sim.Message, len(trace.Corrupted))
-		for id := range trace.Corrupted {
+		corruptInboxes := make(map[sim.PartyID][]sim.Message, len(corrupted))
+		for id := range corrupted {
 			corruptInboxes[id] = inboxes[id-1]
 		}
-		advOut := adv.Act(r, corruptInboxes, rushed)
+		advOut := adv.Act(r, legacySlice(n, corruptInboxes), rushed)
 		for i := range advOut {
-			if !trace.Corrupted[advOut[i].From] {
+			if !corrupted[advOut[i].From] {
 				return nil, fmt.Errorf("sim: adversary sent as honest party %d", advOut[i].From)
 			}
 		}
@@ -187,23 +192,26 @@ func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed i
 	}
 
 	defaulted := append([]sim.Value(nil), inputs...)
-	for id := range trace.Corrupted {
+	for id := range corrupted {
 		defaulted[id-1] = proto.DefaultInput(id)
 	}
 	trace.DefaultedOutput = proto.Func(defaulted)
 
-	trace.HonestAudits = make(map[sim.PartyID]sim.Value)
+	honestAudits := make(map[sim.PartyID]sim.Value)
 	for i := 0; i < n; i++ {
 		id := sim.PartyID(i + 1)
-		if trace.Corrupted[id] {
+		if corrupted[id] {
 			continue
 		}
 		v, ok := machines[i].Output()
-		trace.HonestOutputs[id] = sim.OutputRecord{Value: v, OK: ok}
+		honestOutputs[id] = sim.OutputRecord{Value: v, OK: ok}
 		if ap, ok := machines[i].(sim.AuditedParty); ok {
-			trace.HonestAudits[id] = ap.AuditInfo()
+			honestAudits[id] = ap.AuditInfo()
 		}
 	}
+	trace.Corrupted = legacySlice(n, corrupted)
+	trace.HonestOutputs = legacySlice(n, honestOutputs)
+	trace.HonestAudits = legacySlice(n, honestAudits)
 
 	if auditor, ok := proto.(sim.OutcomeAuditor); ok {
 		audit := auditor.AuditOutcome(trace)
@@ -219,7 +227,7 @@ func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed i
 	}
 	if ex, ok := adv.(sim.InputExtractor); ok {
 		if victim, v, claimed := ex.ExtractedInput(); claimed {
-			if victim >= 1 && victim <= sim.PartyID(n) && !trace.Corrupted[victim] &&
+			if victim >= 1 && victim <= sim.PartyID(n) && !corrupted[victim] &&
 				sim.ValuesEqual(v, inputs[victim-1]) {
 				trace.PrivacyBreach = true
 				trace.BreachedParty = victim
@@ -227,6 +235,17 @@ func legacyRun(proto sim.Protocol, inputs []sim.Value, adv sim.Adversary, seed i
 		}
 	}
 	return trace, nil
+}
+
+// legacySlice converts one of legacyRun's per-party maps to the
+// party-indexed slice the Adversary interface and the Trace take: entry
+// id−1 holds m[id], and parties without an entry get the zero value.
+func legacySlice[V any](n int, m map[sim.PartyID]V) []V {
+	s := make([]V, n)
+	for id, v := range m {
+		s[id-1] = v
+	}
+	return s
 }
 
 // parityCase is one protocol × adversary pair from the experiment

@@ -9,6 +9,7 @@ type Passive struct{}
 var (
 	_ Adversary       = Passive{}
 	_ AdversaryCloner = Passive{}
+	_ Quiescent       = Passive{}
 )
 
 // CloneAdversary implements AdversaryCloner; Passive is stateless, so the
@@ -25,7 +26,7 @@ func (Passive) InitialCorruptions() []PartyID { return nil }
 func (Passive) SubstituteInput(_ PartyID, orig Value) Value { return orig }
 
 // ObserveSetup implements Adversary: never aborts.
-func (Passive) ObserveSetup(map[PartyID]Value) bool { return false }
+func (Passive) ObserveSetup([]Value) bool { return false }
 
 // CorruptBefore implements Adversary: never corrupts.
 func (Passive) CorruptBefore(int) []PartyID { return nil }
@@ -34,7 +35,10 @@ func (Passive) CorruptBefore(int) []PartyID { return nil }
 func (Passive) OnCorrupt(PartyID, Party, Value) {}
 
 // Act implements Adversary: sends nothing.
-func (Passive) Act(int, map[PartyID][]Message, []Message) []Message { return nil }
+func (Passive) Act(int, [][]Message, []Message) []Message { return nil }
 
 // Learned implements Adversary: learns nothing.
 func (Passive) Learned() (Value, bool) { return nil, false }
+
+// Quiet implements Quiescent: Passive never does anything.
+func (Passive) Quiet() bool { return true }

@@ -132,9 +132,11 @@ type Adversary interface {
 	// SubstituteInput lets the adversary replace a corrupted party's
 	// input before the hybrid setup runs.
 	SubstituteInput(id PartyID, orig Value) Value
-	// ObserveSetup shows the corrupted parties' setup outputs; returning
-	// true aborts the setup phase (aborting Π_GMW).
-	ObserveSetup(outputs map[PartyID]Value) bool
+	// ObserveSetup shows the corrupted parties' setup outputs, indexed
+	// by party id − 1 (honest parties' entries are nil); returning true
+	// aborts the setup phase (aborting Π_GMW). The slice is engine
+	// scratch, read-only and valid only during the call.
+	ObserveSetup(outputs []Value) bool
 	// CorruptBefore may name additional parties to corrupt before the
 	// given message round (adaptive corruption).
 	CorruptBefore(round int) []PartyID
@@ -144,11 +146,12 @@ type Adversary interface {
 	OnCorrupt(id PartyID, machine Party, setupOut Value)
 	// Act is the rushing step of a message round. inboxes carries the
 	// messages delivered to each corrupted party this round (sent in the
-	// previous round); rushed contains the honest messages addressed to
+	// previous round), indexed by party id − 1; honest parties' entries
+	// are empty. rushed contains the honest messages addressed to
 	// corrupted parties plus all honest broadcasts *of this round*,
 	// which the rushing adversary sees before committing its own. The
 	// return value is the corrupted parties' messages for this round.
-	Act(round int, inboxes map[PartyID][]Message, rushed []Message) []Message
+	Act(round int, inboxes [][]Message, rushed []Message) []Message
 	// Learned reports whether the adversary's view determined the
 	// evaluation output, and the value it learned. The engine verifies
 	// the claim against the expected output before trusting it.
@@ -214,6 +217,32 @@ type ReusableParty interface {
 // mutable state with src.
 type PartyCopier interface {
 	CopyFrom(src Party) bool
+}
+
+// Quiescent is an optional Party and Adversary capability: Quiet
+// reports that nothing the holder does from now on can change the run,
+// as long as nothing reaches it. A quiet machine, given empty inboxes
+// from now on, sends nothing and keeps its Output and AuditInfo. A
+// quiet strategy, given empty inboxes and nothing rushed from now on,
+// corrupts, sends and learns nothing more: its Learned and
+// ExtractedInput stay as they are. Quiet must stay true once it is
+// true, and a machine or strategy without the hook is never quiet.
+//
+// Arena.Run ends a run early on it: after a round in which nobody sent
+// a message, if the strategy and every honest machine are quiet, it
+// emits RoundStarted and RoundEnded for each remaining round, sets
+// RoundsRun and finalizes, so the trace and the observers' event
+// streams are those of the full run. A hand-stepped Execution still
+// steps every round. Lookahead strategies stop playing their clones
+// forward on the same rule.
+type Quiescent interface {
+	Quiet() bool
+}
+
+// IsQuiet reports whether x implements Quiescent and is quiet.
+func IsQuiet(x any) bool {
+	q, ok := x.(Quiescent)
+	return ok && q.Quiet()
 }
 
 // ScratchSetupProtocol is an optional Protocol capability for the
@@ -321,12 +350,16 @@ type Trace struct {
 	// Audit is the protocol's OutcomeAudit override, when the protocol
 	// implements OutcomeAuditor; nil otherwise.
 	Audit *OutcomeAudit
-	// HonestAudits collects AuditInfo() from honest machines that
-	// implement AuditedParty.
-	HonestAudits  map[PartyID]Value
+	// The per-party fields below are indexed by party id − 1 and have
+	// one entry per party. Corrupted flags the corrupted set;
+	// HonestOutputs holds the honest parties' final outputs and
+	// HonestAudits the AuditInfo() of honest machines that implement
+	// AuditedParty. Corrupted parties' entries, and the audits of
+	// machines without the hook, are zero.
+	Corrupted     []bool
+	HonestOutputs []OutputRecord
+	HonestAudits  []Value
 	SetupAborted  bool
-	Corrupted     map[PartyID]bool
-	HonestOutputs map[PartyID]OutputRecord
 	// AdvLearned is the engine-verified flag that the adversary's view
 	// determined the output; AdvValue is the learned value.
 	AdvLearned bool
@@ -342,7 +375,15 @@ type Trace struct {
 }
 
 // NumCorrupted returns t, the corruption count.
-func (tr *Trace) NumCorrupted() int { return len(tr.Corrupted) }
+func (tr *Trace) NumCorrupted() int {
+	t := 0
+	for _, c := range tr.Corrupted {
+		if c {
+			t++
+		}
+	}
+	return t
+}
 
 // AllHonestDelivered reports whether every honest party produced a
 // simulatable output: either all got the expected output, or all got the
@@ -353,7 +394,10 @@ func (tr *Trace) AllHonestDelivered() bool {
 		return tr.Audit.Delivered
 	}
 	expected, defaulted := true, true
-	for _, rec := range tr.HonestOutputs {
+	for i, rec := range tr.HonestOutputs {
+		if tr.Corrupted[i] {
+			continue
+		}
 		if !rec.OK {
 			return false
 		}
@@ -374,8 +418,8 @@ func (tr *Trace) AnyHonestWrong() bool {
 	if tr.Audit != nil {
 		return tr.Audit.RandomReplaced
 	}
-	for _, rec := range tr.HonestOutputs {
-		if rec.OK && !ValuesEqual(rec.Value, tr.ExpectedOutput) &&
+	for i, rec := range tr.HonestOutputs {
+		if !tr.Corrupted[i] && rec.OK && !ValuesEqual(rec.Value, tr.ExpectedOutput) &&
 			!ValuesEqual(rec.Value, tr.DefaultedOutput) {
 			return true
 		}

@@ -47,16 +47,16 @@ type setupSpy struct {
 func (s *setupSpy) Reset(*AdvContext)                        { s.gotSetup = nil }
 func (s *setupSpy) InitialCorruptions() []PartyID            { return nil }
 func (s *setupSpy) SubstituteInput(_ PartyID, v Value) Value { return v }
-func (s *setupSpy) ObserveSetup(map[PartyID]Value) bool      { return false }
+func (s *setupSpy) ObserveSetup([]Value) bool                { return false }
 func (s *setupSpy) CorruptBefore(round int) []PartyID {
 	if round == 1 {
 		return []PartyID{1}
 	}
 	return nil
 }
-func (s *setupSpy) OnCorrupt(_ PartyID, _ Party, setupOut Value)        { s.gotSetup = setupOut }
-func (s *setupSpy) Act(int, map[PartyID][]Message, []Message) []Message { return nil }
-func (s *setupSpy) Learned() (Value, bool)                              { return nil, false }
+func (s *setupSpy) OnCorrupt(_ PartyID, _ Party, setupOut Value) { s.gotSetup = setupOut }
+func (s *setupSpy) Act(int, [][]Message, []Message) []Message    { return nil }
+func (s *setupSpy) Learned() (Value, bool)                       { return nil, false }
 
 func TestAdaptiveCorruptionDeliversSetupOutput(t *testing.T) {
 	adv := &setupSpy{}
@@ -64,7 +64,7 @@ func TestAdaptiveCorruptionDeliversSetupOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Corrupted[1] {
+	if !tr.Corrupted[0] {
 		t.Fatal("party 1 not corrupted")
 	}
 	// hybridProtocol's setup gives party 1 the sum (7).
@@ -96,7 +96,7 @@ func TestHonestAuditsCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ValuesEqual(tr.HonestAudits[1], 10) || !ValuesEqual(tr.HonestAudits[2], 20) {
+	if !ValuesEqual(tr.HonestAudits[0], 10) || !ValuesEqual(tr.HonestAudits[1], 20) {
 		t.Errorf("audits = %v", tr.HonestAudits)
 	}
 }
@@ -181,11 +181,11 @@ type recorrupter struct {
 	handovers int
 }
 
-func (r *recorrupter) Reset(*AdvContext)                                   { r.handovers = 0 }
-func (r *recorrupter) InitialCorruptions() []PartyID                       { return []PartyID{1} }
-func (r *recorrupter) SubstituteInput(_ PartyID, v Value) Value            { return v }
-func (r *recorrupter) ObserveSetup(map[PartyID]Value) bool                 { return false }
-func (r *recorrupter) CorruptBefore(int) []PartyID                         { return []PartyID{1} }
-func (r *recorrupter) OnCorrupt(PartyID, Party, Value)                     { r.handovers++ }
-func (r *recorrupter) Act(int, map[PartyID][]Message, []Message) []Message { return nil }
-func (r *recorrupter) Learned() (Value, bool)                              { return nil, false }
+func (r *recorrupter) Reset(*AdvContext)                         { r.handovers = 0 }
+func (r *recorrupter) InitialCorruptions() []PartyID             { return []PartyID{1} }
+func (r *recorrupter) SubstituteInput(_ PartyID, v Value) Value  { return v }
+func (r *recorrupter) ObserveSetup([]Value) bool                 { return false }
+func (r *recorrupter) CorruptBefore(int) []PartyID               { return []PartyID{1} }
+func (r *recorrupter) OnCorrupt(PartyID, Party, Value)           { r.handovers++ }
+func (r *recorrupter) Act(int, [][]Message, []Message) []Message { return nil }
+func (r *recorrupter) Learned() (Value, bool)                    { return nil, false }

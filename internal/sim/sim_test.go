@@ -68,14 +68,14 @@ type silencer struct {
 	target PartyID
 }
 
-func (s *silencer) Reset(*AdvContext)                                   {}
-func (s *silencer) InitialCorruptions() []PartyID                       { return []PartyID{s.target} }
-func (s *silencer) SubstituteInput(_ PartyID, v Value) Value            { return v }
-func (s *silencer) ObserveSetup(map[PartyID]Value) bool                 { return false }
-func (s *silencer) CorruptBefore(int) []PartyID                         { return nil }
-func (s *silencer) OnCorrupt(PartyID, Party, Value)                     {}
-func (s *silencer) Act(int, map[PartyID][]Message, []Message) []Message { return nil }
-func (s *silencer) Learned() (Value, bool)                              { return nil, false }
+func (s *silencer) Reset(*AdvContext)                         {}
+func (s *silencer) InitialCorruptions() []PartyID             { return []PartyID{s.target} }
+func (s *silencer) SubstituteInput(_ PartyID, v Value) Value  { return v }
+func (s *silencer) ObserveSetup([]Value) bool                 { return false }
+func (s *silencer) CorruptBefore(int) []PartyID               { return nil }
+func (s *silencer) OnCorrupt(PartyID, Party, Value)           {}
+func (s *silencer) Act(int, [][]Message, []Message) []Message { return nil }
+func (s *silencer) Learned() (Value, bool)                    { return nil, false }
 
 func TestHonestRunDelivers(t *testing.T) {
 	tr, err := Run(exchangeProtocol{}, []Value{uint64(3), uint64(4)}, Passive{}, 1)
@@ -104,11 +104,7 @@ func TestSilencedPartyDeniesOutput(t *testing.T) {
 	if tr.NumCorrupted() != 1 {
 		t.Fatalf("corrupted = %d, want 1", tr.NumCorrupted())
 	}
-	rec, ok := tr.HonestOutputs[2]
-	if !ok {
-		t.Fatal("no record for honest party 2")
-	}
-	if rec.OK {
+	if rec := tr.HonestOutputs[1]; rec.OK {
 		t.Errorf("party 2 output %v despite silent counterparty", rec.Value)
 	}
 	if tr.AllHonestDelivered() {
@@ -157,13 +153,13 @@ func (l *learner) Reset(ctx *AdvContext) {
 }
 func (l *learner) InitialCorruptions() []PartyID            { return []PartyID{1} }
 func (l *learner) SubstituteInput(_ PartyID, v Value) Value { return v }
-func (l *learner) ObserveSetup(map[PartyID]Value) bool      { return false }
+func (l *learner) ObserveSetup([]Value) bool                { return false }
 func (l *learner) CorruptBefore(int) []PartyID              { return nil }
 func (l *learner) OnCorrupt(_ PartyID, m Party, _ Value)    { l.machine = m }
 
-func (l *learner) Act(round int, inboxes map[PartyID][]Message, _ []Message) []Message {
+func (l *learner) Act(round int, inboxes [][]Message, _ []Message) []Message {
 	// Run the corrupted machine honestly on its delivered inbox.
-	out, err := l.machine.Round(round, inboxes[1])
+	out, err := l.machine.Round(round, inboxes[0])
 	if err != nil {
 		return nil
 	}
@@ -299,17 +295,18 @@ func (p *hybridParty) Round(round int, inbox []Message) ([]Message, error) {
 func (p *hybridParty) Output() (Value, bool) { return p.result, p.done }
 func (p *hybridParty) Clone() Party          { cp := *p; return &cp }
 
-// setupAborter corrupts party 1 and aborts the setup, substituting input 5.
-type setupAborter struct{ sawSetup map[PartyID]Value }
+// setupAborter corrupts party 1 and aborts the setup, substituting input
+// 5; it keeps the setup output it saw for party 1.
+type setupAborter struct{ sawSetup Value }
 
-func (s *setupAborter) Reset(*AdvContext)                                   { s.sawSetup = nil }
-func (s *setupAborter) InitialCorruptions() []PartyID                       { return []PartyID{1} }
-func (s *setupAborter) SubstituteInput(PartyID, Value) Value                { return uint64(5) }
-func (s *setupAborter) ObserveSetup(o map[PartyID]Value) bool               { s.sawSetup = o; return true }
-func (s *setupAborter) CorruptBefore(int) []PartyID                         { return nil }
-func (s *setupAborter) OnCorrupt(PartyID, Party, Value)                     {}
-func (s *setupAborter) Act(int, map[PartyID][]Message, []Message) []Message { return nil }
-func (s *setupAborter) Learned() (Value, bool)                              { return nil, false }
+func (s *setupAborter) Reset(*AdvContext)                         { s.sawSetup = nil }
+func (s *setupAborter) InitialCorruptions() []PartyID             { return []PartyID{1} }
+func (s *setupAborter) SubstituteInput(PartyID, Value) Value      { return uint64(5) }
+func (s *setupAborter) ObserveSetup(o []Value) bool               { s.sawSetup = o[0]; return true }
+func (s *setupAborter) CorruptBefore(int) []PartyID               { return nil }
+func (s *setupAborter) OnCorrupt(PartyID, Party, Value)           {}
+func (s *setupAborter) Act(int, [][]Message, []Message) []Message { return nil }
+func (s *setupAborter) Learned() (Value, bool)                    { return nil, false }
 
 func TestHybridSetupRuns(t *testing.T) {
 	tr, err := Run(hybridProtocol{}, []Value{uint64(3), uint64(4)}, Passive{}, 8)
@@ -332,7 +329,7 @@ func TestInputSubstitutionAndSetupAbort(t *testing.T) {
 	}
 	// Adversary saw the corrupted party's setup output for the
 	// substituted inputs (5 + 4 = 9).
-	if got := adv.sawSetup[1]; !ValuesEqual(got, uint64(9)) {
+	if got := adv.sawSetup; !ValuesEqual(got, uint64(9)) {
 		t.Errorf("adversary saw setup output %v, want 9", got)
 	}
 	// After abort the expected output uses the DEFAULT input (0+4).
@@ -365,7 +362,7 @@ type adaptive struct {
 func (a *adaptive) Reset(*AdvContext)                        { a.machine, a.learned, a.ok = nil, nil, false }
 func (a *adaptive) InitialCorruptions() []PartyID            { return nil }
 func (a *adaptive) SubstituteInput(_ PartyID, v Value) Value { return v }
-func (a *adaptive) ObserveSetup(map[PartyID]Value) bool      { return false }
+func (a *adaptive) ObserveSetup([]Value) bool                { return false }
 func (a *adaptive) CorruptBefore(round int) []PartyID {
 	if round == 2 {
 		return []PartyID{2}
@@ -373,11 +370,11 @@ func (a *adaptive) CorruptBefore(round int) []PartyID {
 	return nil
 }
 func (a *adaptive) OnCorrupt(_ PartyID, m Party, _ Value) { a.machine = m }
-func (a *adaptive) Act(round int, inboxes map[PartyID][]Message, _ []Message) []Message {
+func (a *adaptive) Act(round int, inboxes [][]Message, _ []Message) []Message {
 	if a.machine == nil {
 		return nil
 	}
-	out, err := a.machine.Round(round, inboxes[2])
+	out, err := a.machine.Round(round, inboxes[1])
 	if err != nil {
 		return nil
 	}
@@ -393,7 +390,7 @@ func TestAdaptiveCorruptionHandsOverMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Corrupted[2] {
+	if !tr.Corrupted[1] {
 		t.Fatal("party 2 not corrupted")
 	}
 	if !tr.AdvLearned {
@@ -401,7 +398,7 @@ func TestAdaptiveCorruptionHandsOverMachine(t *testing.T) {
 	}
 	// Party 1 still delivered: party 2 sent its round-1 message while
 	// honest, and the adaptive adversary ran the machine honestly after.
-	if rec := tr.HonestOutputs[1]; !rec.OK || !ValuesEqual(rec.Value, uint64(5)) {
+	if rec := tr.HonestOutputs[0]; !rec.OK || !ValuesEqual(rec.Value, uint64(5)) {
 		t.Errorf("party 1 output = %+v, want 5", rec)
 	}
 }
@@ -409,7 +406,7 @@ func TestAdaptiveCorruptionHandsOverMachine(t *testing.T) {
 // impersonator tries to send a message as an honest party.
 type impersonator struct{ silencer }
 
-func (im *impersonator) Act(int, map[PartyID][]Message, []Message) []Message {
+func (im *impersonator) Act(int, [][]Message, []Message) []Message {
 	return []Message{{From: 2, To: 1, Payload: uint64(666)}}
 }
 
@@ -488,9 +485,11 @@ func TestValuesEqual(t *testing.T) {
 func TestTraceHelpers(t *testing.T) {
 	tr := &Trace{
 		ExpectedOutput: uint64(7),
-		HonestOutputs: map[PartyID]OutputRecord{
-			1: {Value: uint64(7), OK: true},
-			2: {Value: uint64(9), OK: true},
+		Corrupted:      []bool{false, false, true},
+		HonestOutputs: []OutputRecord{
+			{Value: uint64(7), OK: true},
+			{Value: uint64(9), OK: true},
+			{}, // corrupted: never read
 		},
 	}
 	if tr.AllHonestDelivered() {
@@ -499,7 +498,7 @@ func TestTraceHelpers(t *testing.T) {
 	if !tr.AnyHonestWrong() {
 		t.Error("AnyHonestWrong should detect the wrong output")
 	}
-	tr.HonestOutputs[2] = OutputRecord{OK: false}
+	tr.HonestOutputs[1] = OutputRecord{OK: false}
 	if tr.AnyHonestWrong() {
 		t.Error("⊥ output is not a wrong output")
 	}

@@ -407,14 +407,10 @@ func Plan(spec Spec) (*Sweep, error) {
 		if !ok {
 			continue
 		}
-		if fam == "gmwhalf" {
-			// The closed-form sum bound (Lemma 17) is for even n only.
-			adv = sumAdv[fam]
-		}
 		for _, g := range spec.Gammas {
 			for _, n := range spec.Ns {
 				if fam == "gmwhalf" && n%2 != 0 {
-					continue
+					continue // the Lemma 17 sum bound is for even n only
 				}
 				plan := sumPlan{Family: fam, Gamma: g, N: n, Cost: spec.Costs[0]}
 				complete := true
