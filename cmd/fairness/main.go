@@ -20,8 +20,9 @@ import (
 	"strings"
 
 	"repro/internal/cliflags"
+	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/service"
+	"repro/internal/sim"
 	"repro/internal/sim/trace"
 )
 
@@ -90,6 +91,10 @@ func run(args []string) int {
 		return 2
 	}
 	cfg := opts.cfg
+	if cfg.Runs <= 0 || cfg.SupRuns <= 0 {
+		fmt.Fprintln(os.Stderr, "fairness:", core.ErrNoRuns)
+		return 1
+	}
 	if opts.traceFile != "" {
 		f, err := os.Create(opts.traceFile)
 		if err != nil {
@@ -99,30 +104,22 @@ func run(args []string) int {
 		defer func() { _ = f.Close() }()
 		cfg.Trace = trace.NewSink(f)
 	}
-	pool := service.New(service.Config{Workers: 1, CacheSize: -1, Parallelism: cfg.Parallelism})
-	defer pool.Close()
 
 	fmt.Printf("utility-based fairness reproduction (runs=%d sup=%d seed=%d γ=%+v)\n\n",
 		cfg.Runs, cfg.SupRuns, cfg.Seed, cfg.Gamma)
 
 	allPass := true
+	var m sim.Metrics
 	for _, e := range experiments.All() {
 		if len(opts.selected) > 0 && !opts.selected[e.ID] {
 			continue
 		}
-		// One service job per experiment: the pool keeps per-experiment
-		// engine metrics on each result and merges the totals.
-		job, err := pool.Submit(service.ExperimentParams{IDs: []string{e.ID}, Config: cfg})
+		res, err := e.Measure(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			return 1
 		}
-		jres, err := job.Wait()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			return 1
-		}
-		res := jres.Experiments[0]
+		m.Add(res.Metrics)
 		if opts.format == "markdown" {
 			printMarkdown(res)
 		} else {
@@ -132,7 +129,6 @@ func run(args []string) int {
 			allPass = false
 		}
 	}
-	m := pool.Metrics()
 	fmt.Printf("engine: runs=%d rounds=%d msgs=%d broadcasts=%d corruptions=%d setup-aborts=%d\n",
 		m.Runs, m.Rounds, m.Messages, m.Broadcasts, m.Corruptions, m.SetupAborts)
 	if cfg.Trace != nil {

@@ -93,3 +93,18 @@ func TestRunMarkdownFormat(t *testing.T) {
 		t.Errorf("exit code %d", code)
 	}
 }
+
+// TestRunZeroRunsRefused: -runs 0 and -sup 0 are refused (exit 1)
+// before any experiment runs or any output is printed.
+func TestRunZeroRunsRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-quick", "-runs", "0", "-exp", "E01"},
+		{"-quick", "-sup", "0", "-exp", "E01"},
+	} {
+		var code int
+		out := captureStdout(t, func() { code = run(args) })
+		if code != 1 || len(out) != 0 {
+			t.Errorf("%v: exit code %d, output %q; want 1 and no output", args, code, out)
+		}
+	}
+}

@@ -426,6 +426,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/sup", `{"proto":"pi1","advs":[],"runs":10,"seed":1}`, 400},
 		// Removed fields fail loudly instead of being silently ignored.
 		{"/v1/search", `{"proto":"pi1","seed":1,"paired_seeds":true}`, 400},
+		{"/v1/search", `{"proto":"pi1","seed":1,"exhaustive":true}`, 400},
 		{"/v1/sweep", `{"spec":` + sweepSpecJSON(`"PairedSeeds":true`) + `}`, 400},
 		{"/v1/sweep", `{"spec":` + sweepSpecJSON(`"NoCompiledPlans":true`) + `}`, 400},
 		{"/v1/sweep", `{"spec":` + sweepSpecJSON(`"BatchSize":8`) + `}`, 400},

@@ -7,15 +7,14 @@
 //	fairsearch -proto 2sfe-opt
 //	fairsearch -proto gk-polydomain:4 -runs 8000 -sup 1500
 //	fairsearch -proto pi2 -arms 8 -search-checkpoint search.jsonl
-//	fairsearch -proto pi2 -exhaustive            # ground-truth comparator
 //
 // The racing schedule admits arms in descending static-bound order
 // (pruning any arm whose bound cannot beat the incumbent), races the
 // survivors in geometrically growing waves with Wilson-interval
 // eliminations under the -elim-delta union bound, and certifies the
-// winner at the full -runs resolution. The certified winner and its
-// utility are bit-identical to what -exhaustive computes for that arm;
-// only the number of simulated runs differs (the printed savings).
+// winner with a fresh -runs estimate at its arm seed. The printed
+// savings compare the runs spent with what exhaustive enumeration
+// (core.SupUtilitySpace) spends on the space: arms × -runs.
 //
 // -search-checkpoint streams every scheduling decision and measured
 // wave to a JSONL file; re-running with the same flags resumes it and
@@ -52,11 +51,10 @@ func run(args []string) error {
 	spaceName := fs.String("space", service.SpaceRaw, "strategy space (raw or classic)")
 	wave := fs.Int("wave", 0, "first racing wave's per-arm runs (0 = engine default)")
 	growth := fs.Int("growth", 0, "per-wave geometric growth factor (0 = engine default)")
-	exhaustive := fs.Bool("exhaustive", false, "estimate every arm at full resolution (the comparator racing is measured against)")
 	jsonOut := fs.Bool("json", false, "print the full search report as JSON")
 	est := cliflags.RegisterEstimation(fs, cliflags.EstimationSpec{
 		Runs:      5000,
-		RunsUsage: "certification runs for the winner (and per-arm cost of -exhaustive)",
+		RunsUsage: "certification runs for the winner (and per-arm cost of exhaustive enumeration)",
 		Sup:       true,
 		SupRuns:   1000,
 		SupUsage:  "racing run cap per arm",
@@ -89,7 +87,7 @@ func run(args []string) error {
 		Wave: *wave, Growth: *growth,
 		RaceRuns: est.Sup, FinalRuns: est.Runs,
 		Delta: sf.ElimDelta, MaxArms: sf.Arms,
-		Exhaustive: *exhaustive, Seed: est.Seed,
+		Seed: est.Seed,
 	}, opts...)
 	if err != nil {
 		return err

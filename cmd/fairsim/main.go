@@ -29,6 +29,7 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/service"
+	"repro/internal/sim"
 	"repro/internal/sim/trace"
 )
 
@@ -63,13 +64,17 @@ func run(args []string) error {
 		return trace.Fprint(os.Stdout, f)
 	}
 
-	proto, _, err := service.BuildProtocol(*protoName)
+	proto, sampler, err := service.BuildProtocol(*protoName)
+	if err != nil {
+		return err
+	}
+	adv, err := service.BuildAdversary(*advName, proto.NumParties())
 	if err != nil {
 		return err
 	}
 	gamma := service.DefaultPayoff(*protoName)
 
-	var opts []service.JobOption
+	opts := []core.Option{core.WithParallelism(est.Parallel)}
 	var sink *trace.Sink
 	if est.Trace != "" {
 		f, err := os.Create(est.Trace)
@@ -78,22 +83,15 @@ func run(args []string) error {
 		}
 		defer func() { _ = f.Close() }()
 		sink = trace.NewSink(f)
-		opts = append(opts, service.WithTrace(sink), service.WithTraceLabel(*advName))
+		opts = append(opts, core.WithObserver(func(run int) sim.Observer {
+			return sink.Recorder(trace.Meta{Strategy: *advName, Run: run})
+		}))
 	}
 
-	pool := service.New(service.Config{Workers: 1, CacheSize: -1, Parallelism: est.Parallel})
-	defer pool.Close()
-	job, err := pool.Submit(service.EstimateParams{
-		Proto: *protoName, Adv: *advName, Runs: est.Runs, Seed: est.Seed,
-	}, opts...)
+	rep, err := core.EstimateUtility(proto, adv, gamma, sampler, est.Runs, est.Seed, opts...)
 	if err != nil {
 		return err
 	}
-	res, err := job.Wait()
-	if err != nil {
-		return err
-	}
-	rep := *res.Estimate
 	fmt.Printf("protocol : %s (n=%d, rounds=%d)\n", proto.Name(), proto.NumParties(), proto.NumRounds())
 	fmt.Printf("adversary: %s\n", *advName)
 	fmt.Printf("payoff   : %+v\n", gamma)

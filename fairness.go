@@ -63,18 +63,16 @@ type (
 	StrategySpace = core.StrategySpace
 	// SliceSpace adapts an eager []NamedAdversary to StrategySpace.
 	SliceSpace = core.SliceSpace
-	// BoundedSpace is a StrategySpace with axes, coordinates, and static
-	// per-strategy utility upper bounds for branch-and-bound pruning.
+	// BoundedSpace is a StrategySpace with static per-strategy utility
+	// upper bounds for branch-and-bound pruning.
 	BoundedSpace = core.BoundedSpace
-	// StrategyAxis is one dimension of a structured strategy space.
-	StrategyAxis = core.Axis
 	// InputSampler draws one input vector per run (the environment Z).
 	InputSampler = core.InputSampler
 	// InputSamplerInto is the allocation-free InputSampler variant used
 	// with WithSamplerInto.
 	InputSamplerInto = core.InputSamplerInto
 	// EstimatorOption configures EstimateUtility / SupUtility
-	// (parallelism, observers, metrics). Options tune
+	// (parallelism, observers, in-place sampler). Options tune
 	// scheduling and instrumentation only — the estimate is a pure
 	// function of (runs, seed).
 	EstimatorOption = core.Option
@@ -151,10 +149,9 @@ var (
 
 // Execution and measurement.
 var (
-	// Run executes one protocol instance against an adversary.
+	// Run executes one protocol instance against an adversary, with
+	// optional engine observers.
 	Run = sim.Run
-	// RunObserved is Run with engine observers attached.
-	RunObserved = sim.RunObserved
 	// NewExecution opens a stepwise execution (SetupPhase/Step/Finalize).
 	NewExecution = sim.NewExecution
 	// Classify maps a trace to its ideal-world outcome.
@@ -182,9 +179,6 @@ var (
 	WithObserver = core.WithObserver
 	// WithSupObserver attaches per-run observers keyed by strategy label.
 	WithSupObserver = core.WithSupObserver
-	// WithMetrics accumulates merged engine counters into a caller's
-	// sim.Metrics across estimations.
-	WithMetrics = core.WithMetrics
 	// WithSamplerInto installs an allocation-free input sampler that
 	// refills engine-owned buffers instead of allocating per run.
 	WithSamplerInto = core.WithSamplerInto

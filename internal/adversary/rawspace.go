@@ -19,8 +19,8 @@ import (
 //
 // It implements core.BoundedSpace: each arm carries a statically sound
 // utility upper bound derived from its event structure alone, which is
-// what lets branch-and-bound prune dominated branches with zero
-// estimator runs.
+// what lets branch-and-bound prune dominated arms with zero estimator
+// runs.
 type RawTwoParty struct {
 	rounds int
 	subs   []sim.Value
@@ -134,26 +134,6 @@ func (s *RawTwoParty) At(i int) core.NamedAdversary {
 		adv = &InputSubst{Adversary: adv, Value: s.subs[sub-1]}
 	}
 	return core.NamedAdversary{Name: name, Adv: adv}
-}
-
-// Axes implements core.BoundedSpace.
-func (s *RawTwoParty) Axes() []core.Axis {
-	return []core.Axis{
-		{Name: "set", Values: []string{"none", "p1", "p2"}},
-		{Name: "abort", Values: append([]string(nil), s.abortVals...)},
-		{Name: "sub", Values: append([]string(nil), s.subVals...)},
-	}
-}
-
-// Coord implements core.BoundedSpace. The passive arm sits at set=none
-// with the abort and substitution axes pinned to never/keep (the only
-// values that mean anything without corruptions).
-func (s *RawTwoParty) Coord(i int) []int {
-	if i == 0 {
-		return []int{0, len(s.abortVals) - 1, 0}
-	}
-	set, abort, sub := s.coords(i)
-	return []int{set + 1, abort, sub}
 }
 
 // UpperBound implements core.BoundedSpace. The bounds come from the

@@ -2,7 +2,6 @@ package adversary_test
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -12,9 +11,8 @@ import (
 )
 
 // TestRawTwoPartyShape pins the raw space's enumeration contract: its
-// size formula, unique stable names, and coherent Coord/Axes metadata —
-// the search engine's arm keys and checkpoint byte-identity all hang
-// off this order.
+// size formula and unique stable names — the search engine's arm keys
+// and checkpoint byte-identity all hang off this order.
 func TestRawTwoPartyShape(t *testing.T) {
 	s := adversary.NewRawTwoParty(2,
 		adversary.WithSubstitutions(uint64(0), uint64(1)),
@@ -24,10 +22,6 @@ func TestRawTwoPartyShape(t *testing.T) {
 	want := 1 + 2*6*3
 	if s.Len() != want {
 		t.Fatalf("Len = %d, want %d", s.Len(), want)
-	}
-	axes := s.Axes()
-	if len(axes) != 3 || axes[0].Name != "set" || axes[1].Name != "abort" || axes[2].Name != "sub" {
-		t.Fatalf("unexpected axes %+v", axes)
 	}
 	seen := make(map[string]bool)
 	for i := 0; i < s.Len(); i++ {
@@ -39,31 +33,6 @@ func TestRawTwoPartyShape(t *testing.T) {
 			t.Fatalf("duplicate arm name %q", na.Name)
 		}
 		seen[na.Name] = true
-		c := s.Coord(i)
-		if len(c) != len(axes) {
-			t.Fatalf("arm %d: coord %v does not match axes", i, c)
-		}
-		for d, v := range c {
-			if v < 0 || v >= len(axes[d].Values) {
-				t.Fatalf("arm %d: coord %v out of axis %q range", i, c, axes[d].Name)
-			}
-		}
-		// The set coordinate must agree with the party in the name.
-		set := axes[0].Values[c[0]]
-		switch {
-		case na.Name == "passive":
-			if set != "none" {
-				t.Errorf("passive arm at set=%s", set)
-			}
-		case strings.Contains(na.Name, "-p1"):
-			if set != "p1" {
-				t.Errorf("arm %q at set=%s", na.Name, set)
-			}
-		case strings.Contains(na.Name, "-p2"):
-			if set != "p2" {
-				t.Errorf("arm %q at set=%s", na.Name, set)
-			}
-		}
 	}
 	if !seen["abort-r2-p1"] || !seen["honest-p2-x=1"] || !seen["hit-p1"] || !seen["setup-abort-p2-x=0"] {
 		t.Fatalf("expected canonical arm names missing from %d arms", s.Len())

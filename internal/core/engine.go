@@ -23,7 +23,6 @@ type options struct {
 	batchSize   int
 	factory     ObserverFactory
 	supFactory  SupObserverFactory
-	metrics     *sim.Metrics
 	samplerInto InputSamplerInto
 }
 
@@ -58,14 +57,6 @@ func WithObserver(factory ObserverFactory) Option {
 // it.
 func WithSupObserver(factory SupObserverFactory) Option {
 	return func(o *options) { o.supFactory = factory }
-}
-
-// WithMetrics accumulates the estimation's merged engine counters into
-// *m (the same totals as UtilityReport.Metrics / SupReport.Metrics, or
-// the sum over EstimateJobs' successful jobs), so a caller aggregating
-// over many estimations needs no manual merging.
-func WithMetrics(m *sim.Metrics) Option {
-	return func(o *options) { o.metrics = m }
 }
 
 // WithSamplerInto replaces the estimation's positional InputSampler with
@@ -361,9 +352,8 @@ func (s *schedule) work(proto sim.Protocol, factory ObserverFactory, batch int) 
 // worker, and a lone estimate is split across every worker as
 // EstimateUtility splits it.
 //
-// WithObserver applies to jobs without their own Observe; WithMetrics
-// accumulates the successful jobs' counters. A job with Runs <= 0
-// reports ErrNoRuns.
+// WithObserver applies to jobs without their own Observe. A job with
+// Runs <= 0 reports ErrNoRuns.
 func EstimateJobs(proto sim.Protocol, jobs []Job, gamma Payoff, sampler InputSampler, opts ...Option) []JobReport {
 	return estimateJobs(proto, jobs, gamma, sampler, resolveOptions(opts))
 }
@@ -446,9 +436,6 @@ func estimateJobs(proto sim.Protocol, jobs []Job, gamma Payoff, sampler InputSam
 		}
 		rep.Metrics = m.metrics
 		out[i] = JobReport{UtilityReport: rep, Events: m.tally.events}
-		if o.metrics != nil {
-			o.metrics.Add(m.metrics)
-		}
 	}
 	return out
 }
@@ -513,8 +500,6 @@ func SupUtilitySpace(proto sim.Protocol, space StrategySpace, gamma Payoff,
 			jobs[i].Observe = func(run int) sim.Observer { return f(name, run) }
 		}
 	}
-	metrics := o.metrics
-	o.metrics = nil // added below, once the whole sup has succeeded
 	reports := estimateJobs(proto, jobs, gamma, sampler, o)
 	for i, r := range reports {
 		if r.Err != nil {
@@ -544,8 +529,5 @@ func SupUtilitySpace(proto sim.Protocol, space StrategySpace, gamma Payoff,
 	}
 	rep.Best = advs[bestIdx].Name
 	rep.BestReport = reports[bestIdx].UtilityReport
-	if metrics != nil {
-		metrics.Add(rep.Metrics)
-	}
 	return rep, nil
 }

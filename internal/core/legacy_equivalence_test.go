@@ -4,7 +4,7 @@ package core_test
 // reproduce the PR-1 estimator's reports exactly. legacyEstimate and
 // legacySup below are verbatim-frozen copies of the original sequential
 // implementations (pre-drawn job slice, per-sample tally over
-// stats.MeanEstimate, one sim.RunObserved per run) — the same pattern
+// stats.MeanEstimate, one sim.Run per run) — the same pattern
 // parity_test.go uses in internal/sim. Mean, event frequencies, run
 // fractions, and metrics are compared bitwise at every parallelism and
 // batch size; the half-width, which the engine now derives from event
@@ -45,7 +45,7 @@ func legacyEstimate(proto sim.Protocol, adv sim.Adversary, gamma core.Payoff,
 	var metrics sim.Metrics
 	outcomes := make([]core.Outcome, runs)
 	for i := range jobs {
-		tr, err := sim.RunObserved(proto, jobs[i].inputs, adv, jobs[i].seed, &metrics)
+		tr, err := sim.Run(proto, jobs[i].inputs, adv, jobs[i].seed, &metrics)
 		if err != nil {
 			return core.UtilityReport{}, fmt.Errorf("core: run %d: %w", i, err)
 		}

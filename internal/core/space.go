@@ -48,32 +48,15 @@ func (s SliceSpace) Describe() string {
 	return fmt.Sprintf("slice(%s)", names)
 }
 
-// Axis is one dimension of a structured strategy space (e.g. the abort
-// round, the corrupted set, the input substitution).
-type Axis struct {
-	// Name labels the dimension.
-	Name string
-	// Values are the dimension's points, in canonical order.
-	Values []string
-}
-
-// BoundedSpace is a StrategySpace with enough structure for
-// branch-and-bound: the space factors into axes, every strategy has
-// coordinates along them, and each strategy carries a statically sound
-// utility upper bound (derived from its event structure — e.g. a
-// setup-aborting strategy can only realize E00/E01, so its utility is
-// at most max(γ00, γ01) whatever the protocol does). The search engine
+// BoundedSpace is a StrategySpace with a statically sound utility upper
+// bound on each strategy (derived from its event structure — e.g. a
+// setup-aborting strategy can only realize E00/E01, so its utility is at
+// most max(γ00, γ01) whatever the protocol does). The search engine
 // admits arms in descending bound order and prunes, with zero runs, any
-// arm whose bound cannot beat the incumbent's certified lower bound —
-// which eliminates whole branches (all arms sharing a dominated axis
-// value) at once.
+// arm whose bound cannot beat the incumbent's certified lower bound. It
+// prunes arm by arm; arms of one branch that share a bound fall together.
 type BoundedSpace interface {
 	StrategySpace
-	// Axes lists the dimensions.
-	Axes() []Axis
-	// Coord returns strategy i's coordinates along Axes (same length and
-	// order). Implementations return a fresh or read-only slice.
-	Coord(i int) []int
 	// UpperBound returns a sound upper bound on strategy i's true
 	// utility under gamma: no environment or scheduling can make the
 	// strategy earn more. Plain max over the payoff vector is always

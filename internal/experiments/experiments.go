@@ -39,34 +39,15 @@ type Config struct {
 	// identical either way — see the determinism contract on
 	// core.EstimateUtility.
 	Parallelism int
-	// Metrics, when non-nil, accumulates the engine metrics (runs,
-	// rounds, messages, corruptions, …) of every measurement made through
-	// this config. Observation never changes results.
-	Metrics *MetricsCollector
 	// Trace, when non-nil, receives a JSONL transcript of every simulated
 	// run made through this config (labeled with run indices and, inside
 	// sup-searches, strategy names).
 	Trace *trace.Sink
-}
 
-// MetricsCollector aggregates engine metrics across measurements; safe
-// for the concurrent estimates RunAll issues.
-type MetricsCollector struct {
-	mu sync.Mutex
-	m  sim.Metrics
-}
-
-func (c *MetricsCollector) Add(m sim.Metrics) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m.Add(m)
-}
-
-// Total returns the metrics accumulated so far.
-func (c *MetricsCollector) Total() sim.Metrics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m
+	// metrics, installed by Experiment.Measure, accumulates the engine
+	// metrics of every measurement one experiment makes. An experiment
+	// measures sequentially, so it needs no lock.
+	metrics *sim.Metrics
 }
 
 // DefaultConfig is the configuration used for EXPERIMENTS.md.
@@ -104,8 +85,8 @@ func (c Config) estimate(proto sim.Protocol, adv sim.Adversary, g core.Payoff,
 		}))
 	}
 	rep, err := core.EstimateUtility(proto, adv, g, sampler, runs, seed, opts...)
-	if err == nil && c.Metrics != nil {
-		c.Metrics.Add(rep.Metrics)
+	if err == nil && c.metrics != nil {
+		c.metrics.Add(rep.Metrics)
 	}
 	return rep, err
 }
@@ -121,8 +102,8 @@ func (c Config) sup(proto sim.Protocol, space core.StrategySpace, g core.Payoff,
 		}))
 	}
 	rep, err := core.SupUtilitySpace(proto, space, g, sampler, runs, seed, opts...)
-	if err == nil && c.Metrics != nil {
-		c.Metrics.Add(rep.Metrics)
+	if err == nil && c.metrics != nil {
+		c.metrics.Add(rep.Metrics)
 	}
 	return rep, err
 }
@@ -157,8 +138,8 @@ type Result struct {
 	// Rows are the comparisons.
 	Rows []Row
 	// Metrics aggregates the engine events behind this experiment's
-	// measurements (filled by RunAll; zero when the runner was called
-	// directly without a Config.Metrics collector).
+	// measurements (filled by Experiment.Measure and RunAll; zero when
+	// Run was called directly).
 	Metrics sim.Metrics
 }
 
@@ -213,6 +194,16 @@ type Experiment struct {
 	Run func(Config) (Result, error)
 }
 
+// Measure runs the experiment and fills Result.Metrics with the engine
+// metrics of every measurement it made.
+func (e Experiment) Measure(cfg Config) (Result, error) {
+	var m sim.Metrics
+	cfg.metrics = &m
+	res, err := e.Run(cfg)
+	res.Metrics = m
+	return res, err
+}
+
 // All lists every experiment in order.
 func All() []Experiment {
 	return []Experiment{
@@ -250,22 +241,9 @@ func RunAll(cfg Config) ([]Result, error) {
 	if workers > len(all) {
 		workers = len(all)
 	}
-	// Each experiment runs with its own metrics collector so Result.Metrics
-	// is per-experiment; the caller's collector (if any) gets the totals.
-	runOne := func(i int) (Result, error) {
-		ecfg := cfg
-		col := &MetricsCollector{}
-		ecfg.Metrics = col
-		res, err := all[i].Run(ecfg)
-		res.Metrics = col.Total()
-		if cfg.Metrics != nil {
-			cfg.Metrics.Add(res.Metrics)
-		}
-		return res, err
-	}
 	if workers <= 1 {
 		for i := range all {
-			out[i], errs[i] = runOne(i)
+			out[i], errs[i] = all[i].Measure(cfg)
 		}
 	} else {
 		var next atomic.Int64
@@ -279,7 +257,7 @@ func RunAll(cfg Config) ([]Result, error) {
 					if i >= len(all) {
 						return
 					}
-					out[i], errs[i] = runOne(i)
+					out[i], errs[i] = all[i].Measure(cfg)
 				}
 			}()
 		}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/sim/trace"
 )
 
@@ -163,8 +162,8 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMetricsAndTracePlumbing checks that a config-level metrics
-// collector and transcript sink see every run an experiment makes, and
+// TestMetricsAndTracePlumbing checks that Measure's metrics and a
+// config-level transcript sink see every run an experiment makes, and
 // that the two agree with each other.
 func TestMetricsAndTracePlumbing(t *testing.T) {
 	var exp *Experiment
@@ -181,17 +180,17 @@ func TestMetricsAndTracePlumbing(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Runs, cfg.SupRuns = 40, 20
 	var buf bytes.Buffer
-	cfg.Metrics = &MetricsCollector{}
 	cfg.Trace = trace.NewSink(&buf)
-	if _, err := exp.Run(cfg); err != nil {
+	res, err := exp.Measure(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cfg.Trace.Err(); err != nil {
 		t.Fatal(err)
 	}
-	m := cfg.Metrics.Total()
+	m := res.Metrics
 	if m.Runs == 0 || m.Rounds == 0 || m.Messages == 0 {
-		t.Fatalf("collector missed the experiment's runs: %+v", m)
+		t.Fatalf("Measure missed the experiment's runs: %+v", m)
 	}
 	st := cfg.Trace.Stats()
 	if st.Runs != m.Runs || st.Rounds != m.Rounds || st.Sends != m.Messages || st.Deliveries != m.Deliveries {
@@ -202,27 +201,20 @@ func TestMetricsAndTracePlumbing(t *testing.T) {
 	}
 }
 
-// TestRunAllFillsResultMetrics checks RunAll's per-experiment metrics
-// and the caller-level totals.
+// TestRunAllFillsResultMetrics checks RunAll's per-experiment metrics.
 func TestRunAllFillsResultMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep skipped in -short mode")
 	}
 	cfg := QuickConfig()
 	cfg.Runs, cfg.SupRuns = 40, 20
-	cfg.Metrics = &MetricsCollector{}
 	results, err := RunAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum sim.Metrics
 	for _, res := range results {
 		if res.Metrics.Runs == 0 {
 			t.Errorf("%s: Result.Metrics empty", res.ID)
 		}
-		sum.Add(res.Metrics)
-	}
-	if total := cfg.Metrics.Total(); total != sum {
-		t.Errorf("config totals %+v != sum of per-experiment metrics %+v", total, sum)
 	}
 }

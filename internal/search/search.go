@@ -9,10 +9,10 @@
 //  1. Admission. Arms are visited in descending static-upper-bound
 //     order (ties in canonical space order). An arm whose bound cannot
 //     beat the incumbent's certified lower bound is pruned with zero
-//     estimator runs — this is the branch-and-bound step, and on
-//     structured spaces it removes whole branches (every setup-abort
-//     arm under a Γfair payoff, say) at once. Admitted arms get a
-//     first wave of runs.
+//     estimator runs — this is the branch-and-bound step. Pruning is
+//     arm by arm on core.BoundedSpace.UpperBound; arms of one branch
+//     share a bound (every setup-abort arm under a Γfair payoff, say),
+//     so they fall together. Admitted arms get a first wave of runs.
 //  2. Racing. Waves grow geometrically (Wave·Growth^(w−1) runs, capped
 //     so no arm exceeds RaceRuns). After each wave every surviving
 //     arm's utility gets a Wilson score interval (the utility scaled to
@@ -21,9 +21,11 @@
 //     lower end is killed. By the union bound, all eliminations are
 //     jointly correct with probability ≥ 1 − δ.
 //  3. Certification. The surviving leader alone is re-estimated fresh
-//     at FinalRuns on its canonical arm seed — exactly the estimate the
-//     exhaustive evaluation would have produced for it, so the final
-//     report is byte-comparable with core.SupUtilitySpace's.
+//     at FinalRuns on its canonical arm seed, which no racing wave draws
+//     from. The comparator is core.SupUtilitySpace, the one exhaustive
+//     evaluation; it seeds strategy i at seed + i·7919, not at the arm
+//     seed, so the two reports agree within their intervals, not bit
+//     for bit.
 //
 // Estimates are pure functions of (params, seed): per-arm seeds derive
 // from FNV-1a arm keys exactly like the sweep's cell seeds, wave w of
@@ -53,8 +55,8 @@ import (
 
 // Options configures a search. The zero value selects the documented
 // defaults; every field except the statistical knobs (Wave, Growth,
-// RaceRuns, FinalRuns, Delta, MaxArms, Exhaustive) is scheduling-only
-// and never changes the result.
+// RaceRuns, FinalRuns, Delta, MaxArms) is scheduling-only and never
+// changes the result.
 type Options struct {
 	// Wave is the first wave's per-arm run count (default 100).
 	Wave int
@@ -63,7 +65,8 @@ type Options struct {
 	// RaceRuns caps the racing runs spent on any one arm (default 1000).
 	RaceRuns int
 	// FinalRuns is the winner's certification estimate (default 5000) —
-	// and the per-arm cost of the exhaustive comparator.
+	// and the per-arm cost of the exhaustive comparator
+	// (core.SupUtilitySpace at FinalRuns runs).
 	FinalRuns int
 	// Delta is the search-wide elimination error budget (default 0.05):
 	// with probability ≥ 1−Delta no elimination removed a best arm.
@@ -72,10 +75,6 @@ type Options struct {
 	// (the top by static bound, ties in canonical order); the rest are
 	// pruned. A beam knob for huge spaces — 0 means no cap.
 	MaxArms int
-	// Exhaustive disables racing and pruning: every arm is estimated at
-	// FinalRuns on its arm seed. This is the ground-truth comparator the
-	// acceptance tests measure savings against.
-	Exhaustive bool
 
 	// Parallelism is the worker count each batch of estimates shares
 	// (<= 0 selects the estimator default).
@@ -150,8 +149,8 @@ type Report struct {
 	Params string `json:"params"`
 	// Best names the certified winner.
 	Best string `json:"best"`
-	// BestReport is the winner's certification estimate — the same
-	// estimate exhaustive enumeration produces for that arm.
+	// BestReport is the winner's certification estimate: FinalRuns fresh
+	// runs at the winner's arm seed (the low 63 bits of its Key).
 	BestReport core.UtilityReport `json:"bestReport"`
 	// Arms lists every arm's outcome in canonical space order.
 	Arms []ArmResult `json:"arms"`
@@ -193,8 +192,7 @@ func keyHash(params string, seed int64) uint64 {
 // baseParams is the statistical identity of the searched problem —
 // protocol, space, payoff — without the racing knobs. Per-arm seeds
 // derive from it, so an arm's certification estimate is the same
-// whatever schedule visits it: the racing winner's final estimate is
-// bit-identical to the exhaustive comparator's estimate of that arm.
+// whatever schedule visits it.
 func baseParams(protoName, space string, gamma core.Payoff) string {
 	return fmt.Sprintf("search|proto=%s|space=%s|g=%g,%g,%g,%g",
 		protoName, space, gamma.G00, gamma.G01, gamma.G10, gamma.G11)
@@ -206,9 +204,10 @@ func baseParams(protoName, space string, gamma core.Payoff) string {
 // keys its result cache with KeyHash over exactly this string.
 func ParamString(protoName, space string, gamma core.Payoff, o Options) string {
 	o = o.withDefaults()
-	return fmt.Sprintf("%s|wave=%d|growth=%d|race=%d|final=%d|delta=%g|arms=%d|exh=%t",
+	// "exh=false" names a retired mode; it stays so keys keep their bytes.
+	return fmt.Sprintf("%s|wave=%d|growth=%d|race=%d|final=%d|delta=%g|arms=%d|exh=false",
 		baseParams(protoName, space, gamma),
-		o.Wave, o.Growth, o.RaceRuns, o.FinalRuns, o.Delta, o.MaxArms, o.Exhaustive)
+		o.Wave, o.Growth, o.RaceRuns, o.FinalRuns, o.Delta, o.MaxArms)
 }
 
 // arm is the engine's per-arm state.
@@ -325,13 +324,7 @@ func RunContext(ctx context.Context, proto sim.Protocol, space core.StrategySpac
 		e.em = &emitter{cp: cp, replay: recs}
 	}
 
-	var rep *Report
-	var err error
-	if o.Exhaustive {
-		rep, err = e.runExhaustive(ctx)
-	} else {
-		rep, err = e.runRacing(ctx)
-	}
+	rep, err := e.runRacing(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -600,7 +593,7 @@ func (e *engine) runRacing(ctx context.Context) (*Report, error) {
 	}
 
 	// Certification: the surviving leader gets a fresh estimate at the
-	// canonical arm seed — exactly the exhaustive evaluation's estimate.
+	// canonical arm seed.
 	winner := e.leader()
 	if winner == nil {
 		return nil, errors.New("search: no comparable arm (all means NaN)")
@@ -676,31 +669,4 @@ func (e *engine) reportFromCounts(counts [4]int64, runs int) (core.UtilityReport
 		freq[ev] = float64(counts[i]) / float64(runs)
 	}
 	return core.UtilityReport{Utility: est, EventFreq: freq, Runs: runs}, nil
-}
-
-func (e *engine) runExhaustive(ctx context.Context) (*Report, error) {
-	var best *arm
-	var bestRep core.UtilityReport
-	steps := make([]step, len(e.arms))
-	for i, a := range e.arms {
-		steps[i] = step{a: a, runs: e.o.FinalRuns, seed: a.seed}
-	}
-	for i, a := range e.arms {
-		rep, err := e.finalStep(ctx, steps, i)
-		if err != nil {
-			return nil, err
-		}
-		a.status = StatusSurvivor
-		if math.IsNaN(rep.Utility.Mean) {
-			continue
-		}
-		if best == nil || rep.Utility.Mean > bestRep.Utility.Mean {
-			best, bestRep = a, rep
-		}
-	}
-	if best == nil {
-		return nil, errors.New("search: no strategy produced a comparable utility")
-	}
-	best.status = StatusBest
-	return &Report{Best: best.name, BestReport: bestRep}, nil
 }

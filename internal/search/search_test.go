@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/adversary"
@@ -95,11 +97,12 @@ var acceptanceOptions = search.Options{
 }
 
 // TestRecoversOptimal is the acceptance pin: on every family the racing
-// engine recovers the proof-optimal adversary from the raw space — the
-// same best-class strategy and the same utility (within certified
-// half-widths) as exhaustive enumeration, the closed-form sup of the
-// paper, at ≥10× fewer estimator runs. Everything here is a pure
-// function of the seeds, so a pass is a deterministic pass.
+// engine recovers the proof-optimal adversary from the raw space — a
+// strategy in the best class of the exhaustive evaluation
+// (core.SupUtilitySpace at FinalRuns runs per strategy), at the
+// closed-form sup of the paper, for ≥10× fewer estimator runs than that
+// evaluation. Everything here is a pure function of the seeds, so a pass
+// is a deterministic pass.
 func TestRecoversOptimal(t *testing.T) {
 	for _, f := range acceptanceFamilies(t) {
 		f := f
@@ -109,44 +112,49 @@ func TestRecoversOptimal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exh := acceptanceOptions
-			exh.Exhaustive = true
-			ground, err := search.Run(f.proto, f.space, f.gamma, f.sampler, seed, exh)
+			runs := acceptanceOptions.FinalRuns
+			ground, err := core.SupUtilitySpace(f.proto, f.space, f.gamma, f.sampler, runs, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ground.TotalRuns != rep.ExhaustiveRuns {
-				t.Errorf("comparator cost %d runs, search predicted %d", ground.TotalRuns, rep.ExhaustiveRuns)
+			if want := int64(f.space.Len()) * int64(runs); rep.ExhaustiveRuns != want {
+				t.Errorf("comparator cost %d runs, want %d arms × %d", rep.ExhaustiveRuns, f.space.Len(), runs)
 			}
 
 			// The winner must sit in the exhaustive best equivalence class:
-			// its certification interval overlaps the exhaustive best's.
+			// its exhaustive interval overlaps the exhaustive best's.
 			// (Strict name equality would be wrong — symmetric arms tie at
 			// the true optimum and either may lead a finite sample.)
-			var groundBest, searchArm *search.ArmResult
-			for i := range ground.Arms {
-				a := &ground.Arms[i]
-				if a.Name == ground.Best {
-					groundBest = a
-				}
-				if a.Name == rep.Best {
-					searchArm = a
-				}
+			winner, ok := ground.All[rep.Best]
+			if !ok {
+				t.Fatalf("winner %q missing from the exhaustive report", rep.Best)
 			}
-			if groundBest == nil || searchArm == nil {
-				t.Fatalf("arms %q/%q missing from exhaustive report", ground.Best, rep.Best)
-			}
-			if searchArm.Hi < groundBest.Lo {
+			if best := ground.BestReport.Utility; winner.Utility.Hi() < best.Lo() {
 				t.Errorf("search best %q (exhaustive CI [%g, %g]) is outside the best class of %q ([%g, %g])",
-					rep.Best, searchArm.Lo, searchArm.Hi, ground.Best, groundBest.Lo, groundBest.Hi)
+					rep.Best, winner.Utility.Lo(), winner.Utility.Hi(), ground.Best, best.Lo(), best.Hi())
 			}
-			// Both certification estimates of an arm run at the same (arm
-			// seed, FinalRuns), so the racing winner must certify exactly
-			// the exhaustive comparator's mean for that arm; across the tie
-			// class, the two sups agree within combined half-widths.
-			if rep.BestReport.Utility.Mean != searchArm.Mean {
-				t.Errorf("winner %q certifies %v, exhaustive comparator says %v — certification seeds drifted",
-					rep.Best, rep.BestReport.Utility.Mean, searchArm.Mean)
+			// The certification is a fresh FinalRuns estimate at the
+			// winner's arm seed, the low 63 bits of its key; across the tie
+			// class, the search and exhaustive sups agree within combined
+			// half-widths.
+			var arm search.ArmResult
+			for _, a := range rep.Arms {
+				if a.Name == rep.Best {
+					arm = a
+				}
+			}
+			h, err := strconv.ParseUint(arm.Key, 16, 64)
+			if err != nil {
+				t.Fatalf("winner %q key %q: %v", rep.Best, arm.Key, err)
+			}
+			fresh, err := core.EstimateUtility(f.proto, f.space.At(arm.Index).Adv, f.gamma, f.sampler,
+				runs, int64(h&^(1<<63)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rep.BestReport, fresh) {
+				t.Errorf("winner %q certifies %v, a fresh estimate at its arm seed says %v — certification seeds drifted",
+					rep.Best, rep.BestReport.Utility, fresh.Utility)
 			}
 			diff := math.Abs(rep.BestReport.Utility.Mean - ground.BestReport.Utility.Mean)
 			if hw := rep.BestReport.Utility.HalfWidth + ground.BestReport.Utility.HalfWidth; diff > hw {

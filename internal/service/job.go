@@ -7,10 +7,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/search"
 	"repro/internal/sim"
-	"repro/internal/sim/trace"
 	"repro/internal/sweep"
 )
 
@@ -27,8 +25,6 @@ const (
 	KindSearch Kind = "search"
 	// KindSweep runs a bound-certifying parameter sweep.
 	KindSweep Kind = "sweep"
-	// KindExperiment runs paper-reproduction experiments (E01..E15).
-	KindExperiment Kind = "experiment"
 )
 
 // Params is a validated, typed job parameter set. Implementations are
@@ -44,7 +40,7 @@ type Params interface {
 	// with the seed) into the cache key. It must cover everything that
 	// can change the result and nothing that cannot: scheduling-only
 	// knobs (parallelism) are excluded by the estimator's determinism
-	// contract. Empty means "not cacheable".
+	// contract.
 	paramString() string
 	// seed is the seed hashed into the cache key next to paramString.
 	seed() int64
@@ -172,43 +168,6 @@ func (p SweepParams) paramString() string {
 
 func (p SweepParams) seed() int64 { return p.Spec.Seed }
 
-// ExperimentParams runs a subset of the paper-reproduction experiments
-// under one experiments.Config. Experiment jobs are never cached: their
-// results carry per-run metrics that the fairness command prints, and a
-// single CLI invocation never repeats an experiment.
-type ExperimentParams struct {
-	// IDs selects experiments ("E01", …); empty selects all.
-	IDs []string `json:"ids,omitempty"`
-	// Config is the experiment configuration. Its Metrics and Trace
-	// fields are execution-local and may be set by the caller.
-	Config experiments.Config `json:"-"`
-}
-
-// Kind implements Params.
-func (p ExperimentParams) Kind() Kind { return KindExperiment }
-
-// Validate implements Params.
-func (p ExperimentParams) Validate() error {
-	if p.Config.Runs <= 0 || p.Config.SupRuns <= 0 {
-		return fmt.Errorf("service: experiment: %w", core.ErrNoRuns)
-	}
-	known := map[string]bool{}
-	for _, e := range experiments.All() {
-		known[e.ID] = true
-	}
-	for _, id := range p.IDs {
-		if !known[id] {
-			return fmt.Errorf("service: experiment: unknown experiment %q", id)
-		}
-	}
-	return nil
-}
-
-// paramString is empty: experiment jobs bypass the cache (see above).
-func (p ExperimentParams) paramString() string { return "" }
-
-func (p ExperimentParams) seed() int64 { return p.Config.Seed }
-
 // Result is a completed job's immutable outcome. Exactly one of the
 // kind-specific fields is set. Results served from the cache alias the
 // originals — callers must treat every field as read-only.
@@ -225,8 +184,6 @@ type Result struct {
 	// still produces a summary; Breached records that outcome.
 	Sweep    *sweep.Summary
 	Breached bool
-	// Experiments is set for KindExperiment jobs.
-	Experiments []experiments.Result
 	// Metrics counts the engine work this job performed. Zero for cache
 	// hits: no simulation ran. (The reports' own Metrics fields keep the
 	// original values — they describe the estimation that produced the
@@ -234,7 +191,7 @@ type Result struct {
 	Metrics sim.Metrics
 	// CacheHit reports whether the result was served from the cache.
 	CacheHit bool
-	// Key is the cache key, or 0 for uncacheable jobs.
+	// Key is the cache key.
 	Key uint64
 }
 
@@ -245,17 +202,15 @@ type Result struct {
 type JobOption func(*jobOptions)
 
 type jobOptions struct {
-	traceSink  *trace.Sink
 	checkpoint string
 	progress   sweep.Progress
-	traceLabel string
 	ctx        context.Context
 }
 
 // local reports whether the job carries execution-local side effects
 // and therefore must actually execute.
 func (o *jobOptions) local() bool {
-	return o.traceSink != nil || o.checkpoint != "" || o.progress != nil
+	return o.checkpoint != "" || o.progress != nil
 }
 
 // WithJobContext attaches a cancellation context to one job. A job
@@ -269,19 +224,6 @@ func (o *jobOptions) local() bool {
 // resubmit.
 func WithJobContext(ctx context.Context) JobOption {
 	return func(o *jobOptions) { o.ctx = ctx }
-}
-
-// WithTrace attaches a JSONL transcript sink: every simulated run of an
-// estimate or sup job is recorded to it. The job skips the cache read
-// (the transcript is a side effect of execution).
-func WithTrace(sink *trace.Sink) JobOption {
-	return func(o *jobOptions) { o.traceSink = sink }
-}
-
-// WithTraceLabel sets the strategy label recorded in estimate-job
-// transcripts (fairsim labels runs with the adversary name).
-func WithTraceLabel(label string) JobOption {
-	return func(o *jobOptions) { o.traceLabel = label }
 }
 
 // WithCheckpoint streams a sweep or search job's records to a JSONL

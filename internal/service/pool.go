@@ -7,10 +7,8 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/search"
 	"repro/internal/sim"
-	"repro/internal/sim/trace"
 	"repro/internal/sweep"
 )
 
@@ -26,19 +24,16 @@ type Config struct {
 	// Parallelism is the estimator worker count per job (0 = one per
 	// CPU). Scheduling only — results are identical for every setting.
 	Parallelism int
-	// RetainJobs bounds how many completed jobs stay addressable by ID
-	// (0 selects DefaultRetainJobs). The bound keeps an always-on
-	// daemon's job table from growing without limit.
-	RetainJobs int
 }
 
 // DefaultCacheSize is the result-cache capacity when Config.CacheSize
 // is zero.
 const DefaultCacheSize = 1024
 
-// DefaultRetainJobs is the completed-job retention bound when
-// Config.RetainJobs is zero.
-const DefaultRetainJobs = 4096
+// RetainJobs bounds how many completed jobs stay addressable by ID. The
+// bound keeps an always-on daemon's job table from growing without
+// limit.
+const RetainJobs = 4096
 
 // Stats are the pool's monotonic counters.
 type Stats struct {
@@ -62,6 +57,7 @@ type Job struct {
 
 	params Params
 	opts   jobOptions
+	key    uint64 // cache key, computed once at Submit
 
 	done   chan struct{}
 	result *Result
@@ -102,7 +98,6 @@ type Pool struct {
 	inflight map[uint64]*Job // cache key → executing leader job
 	jobs     map[uint64]*Job
 	retired  []uint64 // completed job IDs in completion order, for pruning
-	retain   int
 	nextID   uint64
 	stats    Stats
 	metrics  sim.Metrics
@@ -119,10 +114,6 @@ func New(cfg Config) *Pool {
 	if cacheSize == 0 {
 		cacheSize = DefaultCacheSize
 	}
-	retain := cfg.RetainJobs
-	if retain <= 0 {
-		retain = DefaultRetainJobs
-	}
 	p := &Pool{
 		workers:     workers,
 		parallelism: cfg.Parallelism,
@@ -130,7 +121,6 @@ func New(cfg Config) *Pool {
 		cache:       newLRU(cacheSize),
 		inflight:    make(map[uint64]*Job),
 		jobs:        make(map[uint64]*Job),
-		retain:      retain,
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -160,20 +150,16 @@ func (p *Pool) Close() {
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("service: pool is closed")
 
-// cacheKey hashes a cacheable parameter set with the sweep's FNV-1a
-// cell-key scheme. Returns 0, false for uncacheable jobs.
-func cacheKey(params Params) (uint64, bool) {
-	ps := params.paramString()
-	if ps == "" {
-		return 0, false
-	}
-	return sweep.KeyHash(ps, params.seed()), true
+// cacheKey hashes a parameter set with the sweep's FNV-1a cell-key
+// scheme.
+func cacheKey(params Params) uint64 {
+	return sweep.KeyHash(params.paramString(), params.seed())
 }
 
-// Submit validates params and enqueues the job. A cacheable submission
-// whose key is already resolved completes immediately with the cached
-// result (CacheHit set, zero job metrics: no simulation ran). Submit
-// blocks when every worker is busy and the queue is full.
+// Submit validates params and enqueues the job. A submission whose key
+// is already resolved completes immediately with the cached result
+// (CacheHit set, zero job metrics: no simulation ran). Submit blocks
+// when every worker is busy and the queue is full.
 func (p *Pool) Submit(params Params, opts ...JobOption) (*Job, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -182,9 +168,9 @@ func (p *Pool) Submit(params Params, opts ...JobOption) (*Job, error) {
 	for _, o := range opts {
 		o(&jo)
 	}
-	key, cacheable := cacheKey(params)
+	key := cacheKey(params)
 
-	j := &Job{Kind: params.Kind(), params: params, opts: jo, done: make(chan struct{})}
+	j := &Job{Kind: params.Kind(), params: params, opts: jo, key: key, done: make(chan struct{})}
 	j.result = &Result{Kind: j.Kind, Key: key}
 
 	p.mu.Lock()
@@ -197,8 +183,8 @@ func (p *Pool) Submit(params Params, opts ...JobOption) (*Job, error) {
 	p.jobs[j.ID] = j
 	p.stats.Submitted++
 	// Cache read, skipped for jobs with execution-local side effects
-	// (trace sinks, checkpoints, progress callbacks must still run).
-	if cacheable && !jo.local() {
+	// (checkpoints and progress callbacks must still run).
+	if !jo.local() {
 		if cached, ok := p.cache.get(key); ok {
 			j.result = hitResult(cached)
 			p.stats.CacheHits++
@@ -279,7 +265,7 @@ func (p *Pool) completeLocked(j *Job) {
 		p.stats.Completed++
 	}
 	p.retired = append(p.retired, j.ID)
-	for len(p.retired) > p.retain {
+	for len(p.retired) > RetainJobs {
 		delete(p.jobs, p.retired[0])
 		p.retired = p.retired[1:]
 	}
@@ -305,13 +291,11 @@ func (p *Pool) execute(j *Job) {
 		j.result = res
 		p.metrics.Add(res.Metrics)
 	}
-	if key, cacheable := cacheKey(j.params); cacheable {
-		if err == nil {
-			p.cache.put(key, res)
-		}
-		if p.inflight[key] == j {
-			delete(p.inflight, key)
-		}
+	if err == nil {
+		p.cache.put(j.key, res)
+	}
+	if p.inflight[j.key] == j {
+		delete(p.inflight, j.key)
 	}
 	p.completeLocked(j)
 	p.mu.Unlock()
@@ -320,8 +304,7 @@ func (p *Pool) execute(j *Job) {
 
 // run dispatches on the job kind and produces its immutable result.
 func (p *Pool) run(j *Job) (*Result, error) {
-	key, _ := cacheKey(j.params)
-	res := &Result{Kind: j.Kind, Key: key}
+	res := &Result{Kind: j.Kind, Key: j.key}
 	switch params := j.params.(type) {
 	case EstimateParams:
 		proto, sampler, err := BuildProtocol(params.Proto)
@@ -332,15 +315,8 @@ func (p *Pool) run(j *Job) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := []core.Option{core.WithParallelism(p.parallelism)}
-		if sink := j.opts.traceSink; sink != nil {
-			label := j.opts.traceLabel
-			opts = append(opts, core.WithObserver(func(run int) sim.Observer {
-				return sink.Recorder(trace.Meta{Strategy: label, Run: run})
-			}))
-		}
 		rep, err := core.EstimateUtility(proto, adv, resolvePayoff(params.Gamma, params.Proto),
-			sampler, params.Runs, params.Seed, opts...)
+			sampler, params.Runs, params.Seed, core.WithParallelism(p.parallelism))
 		if err != nil {
 			return nil, err
 		}
@@ -360,14 +336,8 @@ func (p *Pool) run(j *Job) (*Result, error) {
 			}
 			space[i] = core.NamedAdversary{Name: name, Adv: adv}
 		}
-		opts := []core.Option{core.WithParallelism(p.parallelism)}
-		if sink := j.opts.traceSink; sink != nil {
-			opts = append(opts, core.WithSupObserver(func(strategy string, run int) sim.Observer {
-				return sink.Recorder(trace.Meta{Strategy: strategy, Run: run})
-			}))
-		}
 		rep, err := core.SupUtilitySpace(proto, space, resolvePayoff(params.Gamma, params.Proto),
-			sampler, params.Runs, params.Seed, opts...)
+			sampler, params.Runs, params.Seed, core.WithParallelism(p.parallelism))
 		if err != nil {
 			return nil, err
 		}
@@ -414,30 +384,6 @@ func (p *Pool) run(j *Job) (*Result, error) {
 			return nil, err
 		}
 		res.Sweep = sum
-
-	case ExperimentParams:
-		cfg := params.Config
-		selected := map[string]bool{}
-		for _, id := range params.IDs {
-			selected[id] = true
-		}
-		for _, e := range experiments.All() {
-			if len(selected) > 0 && !selected[e.ID] {
-				continue
-			}
-			// A fresh collector per experiment, as the fairness command
-			// has always printed per-experiment engine lines.
-			ecfg := cfg
-			col := &experiments.MetricsCollector{}
-			ecfg.Metrics = col
-			r, err := e.Run(ecfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", e.ID, err)
-			}
-			r.Metrics = col.Total()
-			res.Metrics.Add(r.Metrics)
-			res.Experiments = append(res.Experiments, r)
-		}
 
 	default:
 		return nil, fmt.Errorf("service: unknown params type %T", j.params)

@@ -1,19 +1,22 @@
-// Package service is the shared request path behind the fairness
-// commands and the fairnessd daemon: a Job abstraction over the
-// estimation engine (estimate / sup / sweep / experiment jobs with
+// Package service is the request path behind the fairnessd daemon (and
+// the fairsearch and fairsweep commands): a Job abstraction over the
+// estimation engine (estimate / sup / search / sweep jobs with
 // validated, typed parameters), a bounded worker pool that executes
 // them, per-job engine-metrics aggregation, and an LRU result cache
 // keyed by the sweep's FNV-1a cell hash so repeated (params, seed)
-// requests are free.
+// requests are free. It also holds the name registry (BuildProtocol,
+// BuildAdversary, BuildSpace, DefaultPayoff) every command resolves
+// names through.
 //
 // The cache is sound because of the estimator's determinism contract:
 // an estimate is a pure function of (params, seed) — parallelism and
-// observers change scheduling only, never results — so two submissions with equal canonical parameter strings
-// and seeds would compute bit-identical reports. Serving the second
-// from cache returns the same bits without the work. Scheduling-only
-// knobs are accordingly excluded from cache keys, and jobs that carry
-// execution-local options (a trace sink, a checkpoint path, a progress
-// callback) skip the cache read so their side effects still happen.
+// observers change scheduling only, never results — so two submissions
+// with equal canonical parameter strings and seeds would compute
+// bit-identical reports. Serving the second from cache returns the same
+// bits without the work. Scheduling-only knobs are accordingly excluded
+// from cache keys, and jobs that carry execution-local options (a
+// checkpoint path, a progress callback) skip the cache read so their
+// side effects still happen.
 package service
 
 import (

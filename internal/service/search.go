@@ -70,16 +70,15 @@ type SearchParams struct {
 	// Space names the strategy space ("raw" default, "classic").
 	Space string      `json:"space,omitempty"`
 	Gamma *[4]float64 `json:"gamma,omitempty"`
-	// Wave, Growth, RaceRuns, FinalRuns, Delta, MaxArms, Exhaustive
-	// mirror search.Options (zero = default).
-	Wave       int     `json:"wave,omitempty"`
-	Growth     int     `json:"growth,omitempty"`
-	RaceRuns   int     `json:"race_runs,omitempty"`
-	FinalRuns  int     `json:"final_runs,omitempty"`
-	Delta      float64 `json:"delta,omitempty"`
-	MaxArms    int     `json:"max_arms,omitempty"`
-	Exhaustive bool    `json:"exhaustive,omitempty"`
-	Seed       int64   `json:"seed"`
+	// Wave, Growth, RaceRuns, FinalRuns, Delta, MaxArms mirror
+	// search.Options (zero = default).
+	Wave      int     `json:"wave,omitempty"`
+	Growth    int     `json:"growth,omitempty"`
+	RaceRuns  int     `json:"race_runs,omitempty"`
+	FinalRuns int     `json:"final_runs,omitempty"`
+	Delta     float64 `json:"delta,omitempty"`
+	MaxArms   int     `json:"max_arms,omitempty"`
+	Seed      int64   `json:"seed"`
 }
 
 // Kind implements Params.
@@ -105,14 +104,14 @@ func (p SearchParams) Options() search.Options {
 	return search.Options{
 		Wave: p.Wave, Growth: p.Growth,
 		RaceRuns: p.RaceRuns, FinalRuns: p.FinalRuns,
-		Delta: p.Delta, MaxArms: p.MaxArms, Exhaustive: p.Exhaustive,
+		Delta: p.Delta, MaxArms: p.MaxArms,
 	}
 }
 
 // paramString delegates to search.ParamString — the engine's canonical
 // encoding, which excludes every scheduling knob by the search's
-// determinism contract. Unresolvable names mean "not cacheable"; Submit
-// has already rejected them via Validate.
+// determinism contract. Submit has already rejected unresolvable names
+// via Validate, so the empty string is never a key's input.
 func (p SearchParams) paramString() string {
 	space, err := BuildSpace(p.Space, p.Proto)
 	if err != nil {

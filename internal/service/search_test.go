@@ -78,7 +78,6 @@ func TestSearchParamsKeyCoversKnobs(t *testing.T) {
 		{Proto: "pi1", RaceRuns: 200, FinalRuns: 500, Seed: 1},
 		{Proto: "pi1", RaceRuns: 200, FinalRuns: 400, Delta: 0.1, Seed: 1},
 		{Proto: "pi1", RaceRuns: 200, FinalRuns: 400, MaxArms: 3, Seed: 1},
-		{Proto: "pi1", RaceRuns: 200, FinalRuns: 400, Exhaustive: true, Seed: 1},
 		{Proto: "pi1", Space: SpaceClassic, RaceRuns: 200, FinalRuns: 400, Seed: 1},
 		{Proto: "pi1", Gamma: &[4]float64{0, 0, 1, 0}, RaceRuns: 200, FinalRuns: 400, Seed: 1},
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -214,41 +213,6 @@ func TestSweepJob(t *testing.T) {
 	}
 }
 
-// TestExperimentJob checks an experiment job against a direct run.
-func TestExperimentJob(t *testing.T) {
-	cfg := experiments.QuickConfig()
-	cfg.Runs = 80
-	cfg.SupRuns = 40
-
-	ecfg := cfg
-	col := &experiments.MetricsCollector{}
-	ecfg.Metrics = col
-	want, err := experiments.All()[0].Run(ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want.Metrics = col.Total()
-
-	p := newTestPool(t, 1)
-	j, err := p.Submit(ExperimentParams{IDs: []string{"E01"}, Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := j.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Experiments) != 1 {
-		t.Fatalf("got %d experiment results, want 1", len(res.Experiments))
-	}
-	if !reflect.DeepEqual(res.Experiments[0], want) {
-		t.Fatalf("experiment job result differs:\n got %+v\nwant %+v", res.Experiments[0], want)
-	}
-	if res.Metrics != want.Metrics {
-		t.Fatalf("job metrics %+v != experiment metrics %+v", res.Metrics, want.Metrics)
-	}
-}
-
 // TestValidation exercises Submit's eager rejection of malformed params,
 // and checks that no rejection repeats a segment of its error prefix,
 // such as "service: sweep: sweep: …".
@@ -262,7 +226,6 @@ func TestValidation(t *testing.T) {
 		EstimateParams{Proto: "pi1", Adv: "agen", Runs: 0, Seed: 1},
 		SupParams{Proto: "pi1", Advs: nil, Runs: 10, Seed: 1},
 		SupParams{Proto: "pi1", Advs: []string{"passive", "bogus"}, Runs: 10, Seed: 1},
-		ExperimentParams{IDs: []string{"E99"}, Config: experiments.QuickConfig()},
 		SweepParams{Spec: sweep.Spec{Families: []string{"no-such-family"}}},
 		SweepParams{Spec: unknownFamily},
 	}

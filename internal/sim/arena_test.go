@@ -82,7 +82,7 @@ func TestArenaMatchesRun(t *testing.T) {
 // TestPlanRunnerMatchesArena pins a warmed Arena against a cold engine
 // on every parity pair: one long-lived Arena, which first serves a run
 // at a far seed and then every run of the sweep, must return the traces
-// and observer Metrics of a fresh sim.RunObserved at every seed,
+// and observer Metrics of a fresh sim.Run at every seed,
 // negative seeds included. The name is kept from the compiled plan
 // runner, whose pre-sized streams the Arena replaced.
 func TestPlanRunnerMatchesArena(t *testing.T) {
@@ -101,7 +101,7 @@ func TestPlanRunnerMatchesArena(t *testing.T) {
 			for _, seed := range seeds {
 				var gotM, wantM sim.Metrics
 				got, gotErr := arena.Run(inputs, adv, seed, &gotM)
-				want, wantErr := sim.RunObserved(proto, inputs, tc.newAdv(), seed, &wantM)
+				want, wantErr := sim.Run(proto, inputs, tc.newAdv(), seed, &wantM)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d: run err %v, arena err %v", seed, wantErr, gotErr)
 				}

@@ -461,7 +461,7 @@ func TestObserverEventStream(t *testing.T) {
 	proto := twoparty.New(twoparty.Swap())
 	inputs := []sim.Value{uint64(7), uint64(9)}
 	var m sim.Metrics
-	tr, err := sim.RunObserved(proto, inputs, adversary.NewLockAbort(1), 4, &m)
+	tr, err := sim.Run(proto, inputs, adversary.NewLockAbort(1), 4, &m)
 	if err != nil {
 		t.Fatal(err)
 	}

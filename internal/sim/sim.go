@@ -435,15 +435,10 @@ var (
 
 // Run executes one protocol instance against the adversary with the given
 // seed and returns the trace: one run on a fresh Arena, whose trace
-// nothing invalidates. Callers that need per-round control use
-// NewExecution and its phases directly.
-func Run(proto Protocol, inputs []Value, adv Adversary, seed int64) (*Trace, error) {
-	return RunObserved(proto, inputs, adv, seed)
-}
-
-// RunObserved is Run with the engine's event stream fanned out to the
-// given observers (see the ordering contract on Observer).
-func RunObserved(proto Protocol, inputs []Value, adv Adversary, seed int64, obs ...Observer) (*Trace, error) {
+// nothing invalidates. The engine's event stream fans out to the given
+// observers (see the ordering contract on Observer). Callers that need
+// per-round control use NewExecution and its phases directly.
+func Run(proto Protocol, inputs []Value, adv Adversary, seed int64, obs ...Observer) (*Trace, error) {
 	return NewArena(proto).Run(inputs, adv, seed, obs...)
 }
 

@@ -13,7 +13,7 @@ import (
 func runOnce(t *testing.T, obs ...sim.Observer) *sim.Trace {
 	t.Helper()
 	proto := twoparty.New(twoparty.Swap())
-	tr, err := sim.RunObserved(proto, []sim.Value{uint64(3), uint64(5)}, adversary.NewLockAbort(1), 7, obs...)
+	tr, err := sim.Run(proto, []sim.Value{uint64(3), uint64(5)}, adversary.NewLockAbort(1), 7, obs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/jsonl"
+	"repro/internal/stats"
 )
 
 // Check is one certification inside a record: Value compared against
@@ -85,11 +87,17 @@ func (s *Sweep) header() header {
 	}
 }
 
-// checkKey is the resume check for s's checkpoint: record i must carry
-// the i-th planned key, so records from another grid, or out of
-// sequence, are refused.
-func (s *Sweep) checkKey() func(int, Record) error {
+// checkRecord is the resume check for s's checkpoint. Record i must
+// carry the i-th planned key, so records from another grid, or out of
+// sequence, are refused. It must also be exactly the record this plan
+// certifies from its stored measurement: a cell is re-certified from
+// its Mean, HalfWidth, Samples, Events and Note, a sum is reduced again
+// from the cells before it. An edited verdict, check or bound is
+// refused, and so is a checkpoint written under other run counts or
+// Delta, or under a Slack that changes a verdict.
+func (s *Sweep) checkRecord() func(int, Record) error {
 	want := s.keys()
+	var cells []Record
 	return func(i int, rec Record) error {
 		if i >= len(want) {
 			return fmt.Errorf("sweep: checkpoint has %d extra record(s)", i+1-len(want))
@@ -98,14 +106,35 @@ func (s *Sweep) checkKey() func(int, Record) error {
 			return fmt.Errorf("sweep: checkpoint record %d has key %s, want %s (grid drift)",
 				i, rec.Key, want[i])
 		}
+		var rebuilt Record
+		if i < len(s.Cells) {
+			c := s.Cells[i]
+			proto, err := buildProtocol(c.Family, c.N, c.P)
+			if err != nil {
+				return fmt.Errorf("sweep: cell %s: %w", c.Key, err)
+			}
+			est := stats.Estimate{Mean: rec.Mean, HalfWidth: rec.HalfWidth, N: rec.Samples}
+			rebuilt = s.certify(c, proto, est, rec.Events, rec.Note)
+			cells = append(cells, rec)
+		} else {
+			rebuilt = s.runSum(s.Sums[i-len(s.Cells)], cells)
+		}
+		// A rebuilt record that does not render (a non-finite value from
+		// an edited measurement) cannot be the stored one either.
+		got, err1 := jsonl.Line(rec)
+		line, err2 := jsonl.Line(rebuilt)
+		if err1 != nil || err2 != nil || !bytes.Equal(got, line) {
+			return fmt.Errorf("sweep: checkpoint record %d (key %s) does not re-certify under this sweep: tampered checkpoint",
+				i, rec.Key)
+		}
 		return nil
 	}
 }
 
 // LoadCheckpoint reads a (possibly interrupted) checkpoint of s and
 // returns its completed records and the offset to truncate a torn
-// trailing line at (see jsonl.Load). The header and every record key
-// must match the plan.
+// trailing line at (see jsonl.Load). The header must match the plan,
+// and every record must pass checkRecord.
 func LoadCheckpoint(path string, s *Sweep) (recs []Record, truncateTo int64, err error) {
-	return jsonl.Load(path, "sweep", s.header(), s.checkKey())
+	return jsonl.Load(path, "sweep", s.header(), s.checkRecord())
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,10 +137,40 @@ func TestRunEmptyCheckpointFile(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsTamperedCheckpoint pins re-certification on resume:
+// a checkpoint of a breaching sweep whose "ok" flags were all set to
+// true must be refused, not resumed as a pass.
+func TestResumeRejectsTamperedCheckpoint(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Families = []string{"2sfe"}
+	spec.Ns = []int{2}
+	spec.Runs = 200
+	spec.Slack = -0.3
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	if _, err := Run(spec, path, nil); !errors.Is(err, ErrBreach) {
+		t.Fatalf("planted breach not reported: err = %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := bytes.ReplaceAll(data, []byte(`"ok":false`), []byte(`"ok":true`))
+	if bytes.Equal(forged, data) {
+		t.Fatal("the breaching sweep wrote no failed check")
+	}
+	if err := os.WriteFile(path, forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(spec, path, nil); err == nil || !strings.Contains(err.Error(), "tampered checkpoint") {
+		t.Errorf("forged checkpoint resumed: err = %v", err)
+	}
+}
+
 // FuzzLoadCheckpoint feeds arbitrary record bytes behind a valid header
-// to the checkpoint loader. It must never panic, and a load it accepts
-// must return records whose keys follow the plan's order, with a
-// truncation offset inside the file.
+// to the checkpoint loader, which re-certifies every record it accepts.
+// It must never panic, and a load it accepts must return records whose
+// keys follow the plan's order, with a truncation offset inside the
+// file.
 func FuzzLoadCheckpoint(f *testing.F) {
 	sw, err := Plan(smallSpec())
 	if err != nil {

@@ -60,7 +60,7 @@ func RunContext(ctx context.Context, spec Spec, path string, progress Progress) 
 	var cp *jsonl.Writer
 	var done []Record
 	if path != "" {
-		cp, done, err = jsonl.Open(path, "sweep", sw.header(), sw.checkKey())
+		cp, done, err = jsonl.Open(path, "sweep", sw.header(), sw.checkRecord())
 		if err != nil {
 			return nil, err
 		}

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/search"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -514,7 +515,18 @@ func (s *Sweep) runCell(c Cell) (Record, error) {
 		}
 	}
 
-	est := rep.Utility
+	events := [4]float64{
+		rep.EventFreq[core.E00], rep.EventFreq[core.E01],
+		rep.EventFreq[core.E10], rep.EventFreq[core.E11],
+	}
+	return s.certify(c, proto, rep.Utility, events, note), nil
+}
+
+// certify builds cell c's record from its measurement — the utility
+// estimate, the event frequencies and the note — and checks it against
+// the cell's bounds. The record is a pure function of these inputs, so
+// a resume re-certifies every loaded cell through here (checkRecord).
+func (s *Sweep) certify(c Cell, proto sim.Protocol, est stats.Estimate, events [4]float64, note string) Record {
 	m := s.margin(c, est.HalfWidth)
 	boundName, bound := cellBound(c, proto)
 	rec := Record{
@@ -523,11 +535,7 @@ func (s *Sweep) runCell(c Cell) (Record, error) {
 		N:     c.N, T: c.T, Adv: c.Adv, Cost: c.Cost, P: c.P,
 		Runs: c.Runs, Seed: c.Seed,
 		Mean: est.Mean, HalfWidth: est.HalfWidth, Samples: est.N,
-		Events: [4]float64{
-			rep.EventFreq[core.E00], rep.EventFreq[core.E01],
-			rep.EventFreq[core.E10], rep.EventFreq[core.E11],
-		},
-		Note: note,
+		Events: events, Note: note,
 	}
 
 	addCheck := func(ck Check) { rec.Checks = append(rec.Checks, ck) }
@@ -580,7 +588,7 @@ func (s *Sweep) runCell(c Cell) (Record, error) {
 			rec.OK = false
 		}
 	}
-	return rec, nil
+	return rec
 }
 
 // runSum reduces the already-computed per-t cell records of one sum plan
